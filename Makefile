@@ -1,14 +1,14 @@
 # Development targets; CI runs `make ci` (see .github/workflows/ci.yml).
 
-.PHONY: ci check race test cover bench bench-json loadtest chaos protocol-compat cluster crashtest sweep holoop
+.PHONY: ci check race test cover bench bench-json loadtest chaos protocol-compat cluster crashtest sweep holoop perfbench-test
 
 # CI umbrella: everything the merge gate needs, cheapest signal first.
 ci: check race cover
 
 # Static gate plus the smokes: vet, formatting, a full build, the fast
-# test suite, and finally the expensive chaos fleet. Ordering matters —
-# a unit-test failure should surface in seconds, not after a 5s
-# race-instrumented fleet run.
+# test suite, the benchmark module's vet + tests, and finally the
+# expensive chaos fleet. Ordering matters — a unit-test failure should
+# surface in seconds, not after a 5s race-instrumented fleet run.
 check:
 	go vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -16,6 +16,7 @@ check:
 	fi
 	go build ./...
 	go test -short ./...
+	$(MAKE) perfbench-test
 	$(MAKE) chaos
 	$(MAKE) cluster
 	$(MAKE) crashtest
@@ -27,6 +28,14 @@ check:
 # build tag to keep the detector's overhead inside test timeouts.
 race:
 	go test -race -short ./...
+
+# The benchmark module (perfbench/) has its own go.mod, so the root
+# module's vet, test and staticcheck never reach it: a change to the API
+# it calls (cluster.Ship/ShipReplicas/ProbeStats, server.Options, Stats
+# fields) would otherwise break the benchmark unnoticed. Its tests run
+# every workload briefly through the correctness gate (~15s).
+perfbench-test:
+	cd perfbench && go vet ./... && go test -count=1 ./...
 
 test:
 	go test ./...

@@ -46,7 +46,7 @@
 // shutdown it drains warm — parked sessions and learned context state
 // ship to the ring successors over migration streams so resumed sessions
 // start warm on their new node (docs/ARCHITECTURE.md §Cluster,
-// docs/PROTOCOL.md §Migration frames). -replication-interval additionally
+// docs/PROTOCOL.md §State-transfer frames). -replication-interval additionally
 // streams warm state to the ring successors ahead of any failure, so a
 // peer that crashes without draining loses at most the samples since its
 // last push: the surviving nodes' heartbeat detector confirms it down and

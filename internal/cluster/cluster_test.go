@@ -27,41 +27,37 @@ func tokens(n int) []string {
 // node (and every client) building a ring from any permutation of the same
 // member list must agree on every token's full candidate order.
 func TestRingDeterminism(t *testing.T) {
-	for _, policy := range []string{PolicyNameRing, PolicyNameMod} {
-		t.Run(policy, func(t *testing.T) {
-			ms := members(5)
-			permuted := []string{ms[3], ms[0], ms[4], ms[2], ms[1], ms[0]} // shuffled + duplicate
-			pa, _ := NewPolicy(policy)
-			pb, _ := NewPolicy(policy)
-			a, err := New(ms, pa)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("ring", func(t *testing.T) {
+		ms := members(5)
+		permuted := []string{ms[3], ms[0], ms[4], ms[2], ms[1], ms[0]} // shuffled + duplicate
+		a, err := New(ms, NewRingPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(permuted, NewRingPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tok := range tokens(500) {
+			ca, cb := a.Candidates(tok), b.Candidates(tok)
+			if fmt.Sprint(ca) != fmt.Sprint(cb) {
+				t.Fatalf("candidate order diverges for %q: %v vs %v", tok, ca, cb)
 			}
-			b, err := New(permuted, pb)
-			if err != nil {
-				t.Fatal(err)
+			if len(ca) != 5 {
+				t.Fatalf("candidates for %q: %v, want all 5 members", tok, ca)
 			}
-			for _, tok := range tokens(500) {
-				ca, cb := a.Candidates(tok), b.Candidates(tok)
-				if fmt.Sprint(ca) != fmt.Sprint(cb) {
-					t.Fatalf("candidate order diverges for %q: %v vs %v", tok, ca, cb)
+			seen := map[string]bool{}
+			for _, m := range ca {
+				if seen[m] {
+					t.Fatalf("duplicate member %s in candidates %v", m, ca)
 				}
-				if len(ca) != 5 {
-					t.Fatalf("candidates for %q: %v, want all 5 members", tok, ca)
-				}
-				seen := map[string]bool{}
-				for _, m := range ca {
-					if seen[m] {
-						t.Fatalf("duplicate member %s in candidates %v", m, ca)
-					}
-					seen[m] = true
-				}
-				if a.Owner(tok) != ca[0] {
-					t.Fatalf("Owner disagrees with Candidates[0] for %q", tok)
-				}
+				seen[m] = true
 			}
-		})
-	}
+			if a.Owner(tok) != ca[0] {
+				t.Fatalf("Owner disagrees with Candidates[0] for %q", tok)
+			}
+		}
+	})
 }
 
 // TestRingHashAgreesWithServerShards pins the routing hash to
@@ -100,9 +96,7 @@ func TestRingDistribution(t *testing.T) {
 
 // TestRingMinimalMovement pins the point of consistent hashing: removing
 // one of N members must move only that member's tokens — every token owned
-// by a surviving member keeps its owner. The mod baseline intentionally
-// lacks this property (it reshuffles nearly everything), which is why it
-// exists as the migration-cost worst case.
+// by a surviving member keeps its owner.
 func TestRingMinimalMovement(t *testing.T) {
 	ms := members(4)
 	r, err := New(ms, NewRingPolicy())
@@ -139,36 +133,6 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestRingAddRemove exercises mutable membership round trips.
-func TestRingAddRemove(t *testing.T) {
-	ms := members(3)
-	r, err := New(ms, NewRingPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Add("127.0.0.1:9100")
-	r.Add("127.0.0.1:9100") // idempotent
-	if r.Size() != 4 {
-		t.Fatalf("size after add: %d", r.Size())
-	}
-	if err := r.Remove("127.0.0.1:9100"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Remove("127.0.0.1:9100"); err != nil { // absent: no-op
-		t.Fatal(err)
-	}
-	if fmt.Sprint(r.Members()) != fmt.Sprint(ms) {
-		t.Fatalf("members after add/remove round trip: %v", r.Members())
-	}
-	one, err := New(ms[:1], NewRingPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := one.Remove(ms[0]); err == nil {
-		t.Fatal("removing the last member succeeded")
-	}
-}
-
 // TestRingRejectsBadInput pins constructor validation.
 func TestRingRejectsBadInput(t *testing.T) {
 	if _, err := New(nil, NewRingPolicy()); err == nil {
@@ -176,19 +140,5 @@ func TestRingRejectsBadInput(t *testing.T) {
 	}
 	if _, err := New([]string{"a", ""}, NewRingPolicy()); err == nil {
 		t.Error("empty member address accepted")
-	}
-	if _, err := NewPolicy("nonsense"); err == nil {
-		t.Error("unknown policy name accepted")
-	}
-}
-
-// TestModPolicyRotation pins the baseline policy's candidate order.
-func TestModPolicyRotation(t *testing.T) {
-	p, _ := NewPolicy(PolicyNameMod)
-	p.Rebuild([]string{"a", "b", "c"})
-	got := p.Candidates(4) // 4 % 3 == 1
-	want := []string{"b", "c", "a"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("candidates %v, want %v", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -13,38 +12,13 @@ import (
 // and the server's warm/parked shards do.
 func TokenHash(token string) uint64 { return wire.TokenHash(token) }
 
-// Placement policy names accepted by NewPolicy.
-const (
-	// PolicyNameRing is consistent hashing with virtual nodes: adding or
-	// removing one member moves only ~1/N of the token space.
-	PolicyNameRing = "ring"
-	// PolicyNameMod is the modulo baseline (owner = hash % N): trivially
-	// uniform, but any membership change reshuffles almost every token —
-	// kept as the worst-case comparison point for migration-cost
-	// experiments (EXPERIMENTS.md).
-	PolicyNameMod = "mod"
-)
-
-// Policy turns a token hash into a member-preference order. Rebuild is
-// called under the ring's write lock whenever membership changes;
-// Candidates must be safe for concurrent use between rebuilds and must
-// return every member exactly once, owner first.
+// Policy turns a token hash into a member-preference order. New calls
+// Rebuild once with the ring's member list; Candidates must then be safe
+// for concurrent use and must return every member exactly once, owner
+// first. Consistent hashing (NewRingPolicy) is the only implementation.
 type Policy interface {
-	Name() string
 	Rebuild(members []string)
 	Candidates(h uint64) []string
-}
-
-// NewPolicy builds a placement policy by name ("" = ring).
-func NewPolicy(name string) (Policy, error) {
-	switch name {
-	case "", PolicyNameRing:
-		return NewRingPolicy(), nil
-	case PolicyNameMod:
-		return &modPolicy{}, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown placement policy %q (want %q or %q)", name, PolicyNameRing, PolicyNameMod)
-	}
 }
 
 // vnodesPerMember is the virtual-node fan-out of the consistent-hash ring.
@@ -57,9 +31,9 @@ const vnodesPerMember = 64
 // "...ue-7" vs "...ue-8", vnode "host#3" vs "host#4") get hashes that are
 // close in the high bits. The shard pickers never notice (h % 16 reads
 // well-mixed low bits) but ring positions order by the full 64-bit value,
-// which collapsed all of a member's vnodes onto one arc. Both placement
-// policies therefore run TokenHash through this bijection first; placement
-// remains a pure function of wire.TokenHash.
+// which collapsed all of a member's vnodes onto one arc. The ring therefore
+// runs TokenHash through this bijection first; placement remains a pure
+// function of wire.TokenHash.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -84,8 +58,6 @@ type ringPoint struct {
 
 // NewRingPolicy returns the consistent-hash placement policy.
 func NewRingPolicy() Policy { return &ringPolicy{} }
-
-func (p *ringPolicy) Name() string { return PolicyNameRing }
 
 func (p *ringPolicy) Rebuild(members []string) {
 	p.members = append(p.members[:0], members...)
@@ -122,31 +94,6 @@ func (p *ringPolicy) Candidates(h uint64) []string {
 			seen[m] = true
 			out = append(out, m)
 		}
-	}
-	return out
-}
-
-// modPolicy is the modulo baseline: owner = members[h % N], successors in
-// rotating order after it.
-type modPolicy struct {
-	members []string
-}
-
-func (p *modPolicy) Name() string { return PolicyNameMod }
-
-func (p *modPolicy) Rebuild(members []string) {
-	p.members = append(p.members[:0], members...)
-}
-
-func (p *modPolicy) Candidates(h uint64) []string {
-	n := len(p.members)
-	out := make([]string, 0, n)
-	if n == 0 {
-		return out
-	}
-	at := int(h % uint64(n))
-	for i := 0; i < n; i++ {
-		out = append(out, p.members[(at+i)%n])
 	}
 	return out
 }

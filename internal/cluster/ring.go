@@ -1,11 +1,10 @@
 // Package cluster turns N prognosd processes into one serving fleet. It
 // owns three things: token placement (a consistent-hash ring over session
 // tokens, hashed with the exact wire.TokenHash the server's shards use),
-// the placement policies the ring can run (consistent hashing, or a modulo
-// baseline for migration-cost experiments), and the warm-state migration
-// engine that ships parked sessions and warm snapshots between nodes over
-// the docs/PROTOCOL.md §Migration frames so a drained node's successors
-// resume its sessions warm, not cold.
+// the state-transfer client that ships parked sessions and warm snapshots
+// between nodes over the docs/PROTOCOL.md §State-transfer frames — for a
+// drain handoff or a crash-fault replica alike — and the failure detector
+// that decides when a replica may be served.
 //
 // The membership model is deliberately static-per-run: every node and every
 // client is configured with the same member list and derives the same ring.
@@ -20,14 +19,12 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
-// Ring maps session tokens to cluster members. It is safe for concurrent
-// use; Add/Remove rebuild the placement under a write lock, which is fine
-// because membership changes are per-drain events, not per-record ones.
+// Ring maps session tokens to cluster members. It is immutable once built,
+// and therefore safe for concurrent use without locking; a changed member
+// set is a new ring (see Without).
 type Ring struct {
-	mu      sync.RWMutex
 	policy  Policy
 	members []string // sorted, deduplicated
 }
@@ -58,24 +55,16 @@ func New(members []string, policy Policy) (*Ring, error) {
 	return &Ring{policy: policy, members: ms}, nil
 }
 
-// Members returns the current member list (sorted copy).
+// Members returns the member list (sorted copy).
 func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]string(nil), r.members...)
 }
 
-// Size returns the current member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
+// Size returns the member count.
+func (r *Ring) Size() int { return len(r.members) }
 
 // Owner returns the member that owns token.
 func (r *Ring) Owner(token string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.policy.Candidates(TokenHash(token))[0]
 }
 
@@ -83,15 +72,11 @@ func (r *Ring) Owner(token string) string {
 // index 0 is the owner, index 1 the successor a drain migrates the token
 // to, and so on. The slice is freshly allocated.
 func (r *Ring) Candidates(token string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.policy.Candidates(TokenHash(token))
 }
 
 // Contains reports whether addr is a ring member.
 func (r *Ring) Contains(addr string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	for _, m := range r.members {
 		if m == addr {
 			return true
@@ -100,56 +85,16 @@ func (r *Ring) Contains(addr string) bool {
 	return false
 }
 
-// Add inserts a member (no-op if present).
-func (r *Ring) Add(addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, m := range r.members {
-		if m == addr {
-			return
-		}
-	}
-	r.members = append(r.members, addr)
-	sort.Strings(r.members)
-	r.policy.Rebuild(r.members)
-}
-
-// Remove deletes a member (no-op if absent). The last member cannot be
-// removed: a ring always has an owner for every token.
-func (r *Ring) Remove(addr string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, m := range r.members {
-		if m != addr {
-			continue
-		}
-		if len(r.members) == 1 {
-			return fmt.Errorf("cluster: cannot remove last member %s", addr)
-		}
-		r.members = append(r.members[:i], r.members[i+1:]...)
-		r.policy.Rebuild(r.members)
-		return nil
-	}
-	return nil
-}
-
-// Without returns a new independent ring over the members minus addr, under
-// a fresh policy of the same kind. This is the drain computation: the
-// successor of every token a draining node holds is Without(self).Owner —
-// exactly where the remaining ring will route the token's UE next.
+// Without returns a new independent ring over the members minus addr. This
+// is the drain computation: the successor of every token a draining node
+// holds is Without(self).Owner — exactly where the remaining ring will
+// route the token's UE next.
 func (r *Ring) Without(addr string) (*Ring, error) {
-	r.mu.RLock()
 	rest := make([]string, 0, len(r.members))
 	for _, m := range r.members {
 		if m != addr {
 			rest = append(rest, m)
 		}
 	}
-	name := r.policy.Name()
-	r.mu.RUnlock()
-	policy, err := NewPolicy(name)
-	if err != nil {
-		return nil, err
-	}
-	return New(rest, policy)
+	return New(rest, nil)
 }

@@ -12,15 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// SessionStateVersion gates the migration payload schema, independently of
-// the checkpoint format's core.SnapshotVersion (which versions Snapshot
-// itself): a receiving node rejects states from a future schema instead of
-// mis-reading them.
+// SessionStateVersion gates the state-transfer payload schema,
+// independently of the checkpoint format's core.SnapshotVersion (which
+// versions Snapshot itself): a receiving node rejects states from a future
+// schema instead of mis-reading them.
 const SessionStateVersion = 1
 
 // SessionState is one unit of warm state shipped between nodes inside a
-// FrameMigrate frame (JSON-encoded; docs/PROTOCOL.md §Migration frames).
-// Two shapes travel under the same type:
+// FrameMigrate frame (JSON-encoded; docs/PROTOCOL.md §State-transfer
+// frames), whether a drain hands it off or replication keeps a crash-fault
+// copy of it. Two shapes travel under the same type:
 //
 //   - Token != "": a parked session. The receiver re-parks it — learned
 //     snapshot, resume cursor and replay buffer intact — so the UE's next
@@ -36,6 +37,12 @@ type SessionState struct {
 	Token   string        `json:"token,omitempty"`
 	Carrier string        `json:"carrier"`
 	Arch    cellular.Arch `json:"arch"`
+	// DisableReportPredictor carries the session's hello setting of the
+	// same name, so the learner rebuilt on the receiving node runs the
+	// pipeline its client asked for. Omitted when false (the default), so
+	// default payloads are unchanged; a receiver that predates the field
+	// reads it as false.
+	DisableReportPredictor bool `json:"disable_report_predictor,omitempty"`
 	// Seq is the parked session's resume cursor (highest answered
 	// Response.Seq); Responses its replay buffer, oldest first, exactly
 	// the responses a resuming client may still be missing.
@@ -52,7 +59,7 @@ type SessionState struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// ShipStats accounts one migration pass to one target node.
+// ShipStats accounts one state-transfer stream to one target node.
 type ShipStats struct {
 	// Sessions and Contexts count the accepted parked-session and
 	// warm-snapshot states; Rejected the states the target nacked.
@@ -60,41 +67,41 @@ type ShipStats struct {
 	Contexts int
 	Rejected int
 	// Bytes is the total FrameMigrate payload bytes shipped (the
-	// bytes-moved cost of the pass, before framing overhead).
+	// bytes-moved cost of the stream, before framing overhead).
 	Bytes int64
 }
 
 // Ship opens one migration stream to addr and ships states over it,
-// pipelined, returning per-target accounting. origin names the shipping
-// node (it travels in the hello and tags the target's trace events). The
-// whole exchange — dial, handshake, every frame and ack — happens within
-// timeout. Any transport or protocol error aborts the pass; migration is
-// best-effort by design, because every shipped state is also recoverable
-// the slow way (cold start warmed by checkpoint, §Resilience).
+// pipelined, returning per-target accounting: a drain handoff, which the
+// target serves at once. origin names the shipping node (it travels in the
+// hello and tags the target's trace events). The whole exchange — dial,
+// handshake, every frame and ack — happens within timeout. Any transport
+// or protocol error aborts the stream, but the returned stats still count
+// every state acked before it; migration is best-effort by design, because
+// every shipped state is also recoverable the slow way (cold start warmed
+// by checkpoint, §Resilience).
 func Ship(addr, origin string, states []SessionState, timeout time.Duration) (ShipStats, error) {
 	return ship(addr, origin, states, timeout, false)
 }
 
-// ShipReplicas opens one async replication stream to addr and pushes
-// states over it — the same wire choreography as Ship, but under a
-// "replicate" hello and FrameReplicate/FrameReplicateAck frames, so the
-// receiver holds the states passively (replica table + warm store) for
-// crash failover instead of serving them. Best-effort like Ship: a failed
-// pass costs staleness, never correctness, because the next tick pushes
-// fresh state again.
+// ShipReplicas is Ship under a "replicate" hello: the same frames and
+// acks, but the receiver holds the states passively (replica table + warm
+// store) for crash failover instead of serving them. Best-effort like
+// Ship: a failed stream costs staleness, never correctness, because the
+// next replication tick pushes fresh state again.
 func ShipReplicas(addr, origin string, states []SessionState, timeout time.Duration) (ShipStats, error) {
 	return ship(addr, origin, states, timeout, true)
 }
 
-// ship is the shared stream body of Ship and ShipReplicas; replica picks
-// the hello flag, frame type and ack decoder.
-func ship(addr, origin string, states []SessionState, timeout time.Duration, replica bool) (ShipStats, error) {
+// ship is the one stream body of Ship and ShipReplicas; hold picks the
+// hello flag, which alone fixes the receiver's disposition for the stream.
+func ship(addr, origin string, states []SessionState, timeout time.Duration, hold bool) (ShipStats, error) {
 	var st ShipStats
 	if len(states) == 0 {
 		return st, nil
 	}
 	kind := "migrate"
-	if replica {
+	if hold {
 		kind = "replicate"
 	}
 	conn, err := net.DialTimeout("tcp", addr, timeout)
@@ -108,13 +115,12 @@ func ship(addr, origin string, states []SessionState, timeout time.Duration, rep
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 
-	h := wire.Hello{Node: origin, Framing: string(wire.FramingBinary)}
-	if replica {
-		h.Replicate = true
-	} else {
-		h.Migrate = true
-	}
-	hello, err := json.Marshal(h)
+	hello, err := json.Marshal(wire.Hello{
+		Node:      origin,
+		Framing:   string(wire.FramingBinary),
+		Migrate:   !hold,
+		Replicate: hold,
+	})
 	if err != nil {
 		return st, err
 	}
@@ -156,22 +162,13 @@ func ship(addr, origin string, states []SessionState, timeout time.Duration, rep
 		if err != nil {
 			return st, fmt.Errorf("cluster: encode session state %q: %w", s.Token, err)
 		}
-		if replica {
-			err = fw.WriteReplicate(payload)
-		} else {
-			err = fw.WriteMigrate(payload)
-		}
-		if err != nil {
+		if err := fw.WriteMigrate(payload); err != nil {
 			return st, err
 		}
 		st.Bytes += int64(len(payload))
 	}
 	if err := bw.Flush(); err != nil {
 		return st, err
-	}
-	wantAck := wire.FrameMigrateAck
-	if replica {
-		wantAck = wire.FrameReplicateAck
 	}
 	fr := wire.NewFrameReader(br)
 	for i := range states {
@@ -180,19 +177,14 @@ func ship(addr, origin string, states []SessionState, timeout time.Duration, rep
 			return st, fmt.Errorf("cluster: read %s ack %d/%d from %s: %w", kind, i+1, len(states), addr, err)
 		}
 		switch typ {
-		case wantAck:
+		case wire.FrameMigrateAck:
 		case wire.FrameError:
 			return st, fmt.Errorf("cluster: %s aborted %s stream: %s", addr, kind, p)
 		default:
 			return st, fmt.Errorf("cluster: unexpected frame 0x%02x in %s ack stream", typ, kind)
 		}
 		var ack wire.MigrateAck
-		if replica {
-			err = wire.DecodeReplicateAck(p, &ack)
-		} else {
-			err = wire.DecodeMigrateAck(p, &ack)
-		}
-		if err != nil {
+		if err := wire.DecodeMigrateAck(p, &ack); err != nil {
 			return st, err
 		}
 		if ack.Seq != int64(i+1) {

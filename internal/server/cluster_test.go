@@ -316,7 +316,7 @@ func TestResilientClientSurvivesDrain(t *testing.T) {
 	}
 }
 
-// TestMigrationStreamRequiresBinary pins the §Migration frames gate: a
+// TestMigrationStreamRequiresBinary pins the §State-transfer frames gate: a
 // JSONL migrate hello is rejected before any state moves.
 func TestMigrationStreamRequiresBinary(t *testing.T) {
 	srv, err := ListenWith("127.0.0.1:0", Options{ResumeGrace: time.Minute})

@@ -76,24 +76,30 @@ func FuzzSessionProtocol(f *testing.F) {
 	// A hello naming a framing the server does not speak.
 	f.Add(line(Hello{Carrier: "OpX", Arch: cellular.ArchNSA, Framing: "protobuf"}))
 
-	// Replication-stream shapes (docs/PROTOCOL.md §Replication frames). The
+	// State-transfer shapes (docs/PROTOCOL.md §State-transfer frames). The
 	// harness server has no cluster ring, so every replicate hello must be
 	// rejected cleanly — the satellite case a mis-wired peer exercises.
 	repHello := line(Hello{Replicate: true, Node: "fuzz-peer", Framing: string(wire.FramingBinary)})
 	repState := frame(func(fw *wire.FrameWriter) error {
-		return fw.WriteReplicate([]byte(`{"v":1,"token":"fuzz-tok","carrier":"OpX","arch":"NSA","seq":3,"partial":true}`))
+		return fw.WriteMigrate([]byte(`{"v":1,"token":"fuzz-tok","carrier":"OpX","arch":"NSA","seq":3,"partial":true}`))
 	})
 	// Well-formed replication push, and the same push truncated mid-payload.
 	f.Add(append(append([]byte{}, repHello...), repState...))
 	f.Add(append(append([]byte{}, repHello...), repState[:len(repState)-10]...))
 	// Wrong-direction frame (the ack type belongs to the server side) and a
 	// frame from the serving vocabulary inside a replication stream.
-	f.Add(append(append([]byte{}, repHello...), 0x09, 0, 0, 0, wire.FrameReplicateAck, 1, 2, 3, 4, 5, 6, 7, 8, 9))
+	f.Add(append(append([]byte{}, repHello...), 0x09, 0, 0, 0, wire.FrameMigrateAck, 1, 2, 3, 4, 5, 6, 7, 8, 9))
 	f.Add(append(append([]byte{}, repHello...), frame(func(fw *wire.FrameWriter) error {
 		return fw.WriteSample(&sample)
 	})...))
 	// A replicate hello asking for JSONL framing (replication is binary-only).
 	f.Add(line(Hello{Replicate: true, Node: "fuzz-peer"}))
+	// The retired replication frame type 0x05, under a migrate hello so it
+	// reaches the stream's frame-type check on this unclustered harness.
+	migHello := line(Hello{Migrate: true, Node: "fuzz-peer", Framing: string(wire.FramingBinary)})
+	retired := append([]byte{}, repState...)
+	retired[4] = 0x05
+	f.Add(append(append([]byte{}, migHello...), retired...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newServer(nil, Options{SessionTimeout: time.Second})

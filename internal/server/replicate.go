@@ -1,10 +1,10 @@
-// Crash-fault tolerance, server side. Where migrate.go moves warm state
-// deliberately (a drain), this file moves it preemptively: every
-// ReplicationInterval the node pushes its live-session resume states,
-// parked sessions and warm context snapshots to the ring successor that
-// would inherit each token if this node vanished
-// (docs/PROTOCOL.md §Replication frames). The receiver holds session
-// states passively in a replica table — never in the parked table, so
+// Crash-fault tolerance, server side. Where a drain moves warm state
+// deliberately, this file moves it preemptively: every ReplicationInterval
+// the node runs a state-transfer round with the hold disposition
+// (transfer.go), pushing its live-session resume states, parked sessions
+// and warm context snapshots to the ring successor that would inherit each
+// token if this node vanished. The receiver holds session states passively
+// in a replica table — never in the parked table, so
 // prognos_parked_sessions is never double-counted — and promotes one only
 // when the failure detector confirms its origin down. The contract is
 // bounded staleness: a crash loses at most the samples accumulated since
@@ -14,20 +14,11 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
-	"repro/internal/cellular"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/ran"
-	"repro/internal/wire"
 )
 
 // replicaLiveTail bounds the replay-buffer tail a live session deposits
@@ -51,7 +42,7 @@ func newReplicaOutbox() *replicaOutbox {
 // put deposits one live session's resume state. Called from the session's
 // own goroutine, so reading the replay buffer needs no synchronization;
 // the copy taken here is what crosses into the replication loop.
-func (o *replicaOutbox) put(token, carrier string, arch cellular.Arch, seq int64, buf *replayBuffer) {
+func (o *replicaOutbox) put(h *Hello, seq int64, buf *replayBuffer) {
 	var resp []Response
 	if buf != nil {
 		tail := buf.resp
@@ -61,15 +52,16 @@ func (o *replicaOutbox) put(token, carrier string, arch cellular.Arch, seq int64
 		resp = append(resp, tail...)
 	}
 	st := cluster.SessionState{
-		Token:     token,
-		Carrier:   carrier,
-		Arch:      arch,
-		Seq:       seq,
-		Responses: resp,
-		Partial:   true,
+		Token:                  h.SessionToken,
+		Carrier:                h.Carrier,
+		Arch:                   h.Arch,
+		DisableReportPredictor: h.DisableReportPredictor,
+		Seq:                    seq,
+		Responses:              resp,
+		Partial:                true,
 	}
 	o.mu.Lock()
-	o.m[token] = st
+	o.m[h.SessionToken] = st
 	o.mu.Unlock()
 }
 
@@ -145,133 +137,25 @@ func (r *replicaStore) size() int {
 	return len(r.m)
 }
 
-// serveReplication runs the receiving side of one replication stream:
-// binary framing only, FrameReplicate in, FrameReplicateAck out, one ack
-// per state in order — serveMigration's choreography with two deliberate
-// differences. States land in the replica table instead of the parked
-// table, and transport faults mid-stream are interruptions, not session
-// errors: the shipper may be a node dying mid-push, and a crash already
-// under way must not inflate this node's error counters.
-func (s *Server) serveReplication(hello *Hello, br *bufio.Reader, w *bufio.Writer, framing wire.Framing) (codec, error) {
-	if s.opts.Cluster == nil {
-		return nil, errors.New("server: replication stream on a non-clustered server")
-	}
-	if framing != wire.FramingBinary {
-		return nil, errors.New("server: replication streams require the binary framing")
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire.FramingAck{
-		FramingAck:  true,
-		Framing:     wire.FramingBinary,
-		WireVersion: wire.ProtocolVersion,
-	}); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	cdc := newBinaryCodec(br, w)
-	fr, fw := cdc.fr, cdc.fw
-	var seq int64
-	for {
-		typ, p, err := fr.ReadFrame()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return cdc, w.Flush()
-			}
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				return cdc, err
-			}
-			return cdc, errInterrupted
-		}
-		if typ != wire.FrameReplicate {
-			return cdc, fmt.Errorf("server: unexpected frame type 0x%02x in replication stream", typ)
-		}
-		seq++
-		s.stats.ReplicationReceived(int64(len(p)))
-		var st cluster.SessionState
-		ok := json.Unmarshal(p, &st) == nil && s.installReplica(st, hello.Node) == nil
-		if err := fw.WriteReplicateAck(wire.MigrateAck{OK: ok, Seq: seq}); err != nil {
-			return cdc, errInterrupted
-		}
-		if fr.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return cdc, errInterrupted
-			}
-		}
-	}
-}
-
-// installReplica folds one pushed state into this node's passive stores:
-// context snapshots into the warm store (exactly as migration does),
-// session states into the replica table with a fresh expiry.
-func (s *Server) installReplica(st cluster.SessionState, origin string) error {
-	if st.Version > cluster.SessionStateVersion {
-		return fmt.Errorf("server: replicated state version %d is newer than %d", st.Version, cluster.SessionStateVersion)
-	}
-	if st.Carrier == "" {
-		return errors.New("server: replicated state without carrier")
-	}
-	if st.Token == "" {
-		s.warm.push(warmKey{carrier: st.Carrier, arch: st.Arch.String()}, "", st.Snapshot)
-		return nil
-	}
-	if s.opts.ResumeGrace <= 0 {
-		return errors.New("server: resume disabled, cannot hold replica")
-	}
-	if fresh := s.replicas.install(st, origin, time.Now().Add(s.opts.ResumeGrace)); fresh {
-		s.stats.ReplicaStored()
-	}
-	return nil
-}
-
 // promoteReplica turns a held replica into parked state this node can
-// serve: the failover moment. Partial states (live-session pushes) carry
-// no learner snapshot — the learner warm-starts from the separately
-// replicated context snapshot instead — while full states restore
-// exactly. It reports whether a replica existed.
+// serve (parkState): the failover moment. It reports whether a replica
+// existed.
 func (s *Server) promoteReplica(token string) bool {
 	e := s.replicas.take(token)
 	if e == nil {
 		return false
 	}
 	s.stats.ReplicaDropped()
-	st := e.st
-	prog, err := core.New(core.Config{
-		EventConfigs: ran.EventConfigsFor(st.Carrier, st.Arch),
-		Arch:         st.Arch,
-	})
-	if err != nil {
+	if s.parkState(e.st, true) != nil {
 		return false
 	}
-	if st.Partial {
-		if snap, ok := s.warmSnapshot(st.Carrier, st.Arch); ok {
-			prog.Bootstrap(snap.Learner.Patterns)
-		}
-	} else {
-		prog.Restore(st.Snapshot)
-	}
-	buf := newReplayBuffer(replayBufCap)
-	for _, r := range st.Responses {
-		buf.push(r)
-	}
-	s.park(&parkedSession{
-		token:    token,
-		prog:     prog,
-		seq:      st.Seq,
-		buf:      buf,
-		carrier:  st.Carrier,
-		arch:     st.Arch,
-		migrated: true,
-		replica:  true,
-	})
 	s.stats.Failover()
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvFailover,
 		Session: token,
-		Carrier: st.Carrier,
-		Arch:    st.Arch.String(),
-		RespSeq: st.Seq,
+		Carrier: e.st.Carrier,
+		Arch:    e.st.Arch.String(),
+		RespSeq: e.st.Seq,
 		Detail:  "replica of " + e.origin,
 	})
 	return true
@@ -353,12 +237,10 @@ func (s *Server) replicationLoop() {
 	}
 }
 
-// replicateOnce ships one replication pass: drained live-session states
-// plus a fresh copy of every parked session, each to the ring successor
-// that would own its token without this node, and every warm context
-// snapshot to every peer. Best-effort per target — a failed push costs
-// one interval of staleness, and peers the detector holds down are
-// skipped rather than letting a dead successor stall the pass.
+// replicateOnce ships one replication pass: a state-transfer round with
+// the hold disposition over the drained live-session states plus a fresh
+// copy of every parked session. Best-effort per target — a failed push
+// costs one interval of staleness.
 func (s *Server) replicateOnce() {
 	rest, err := s.opts.Cluster.Without(s.opts.NodeAddr)
 	if err != nil {
@@ -367,63 +249,16 @@ func (s *Server) replicateOnce() {
 	states := s.replOut.drain()
 	now := time.Now()
 	s.parked.forEach(func(p *parkedSession) {
-		if now.After(p.expires) {
-			return
-		}
-		var resp []Response
-		if p.buf != nil {
-			resp = append(resp, p.buf.resp...)
-		}
-		// forEach holds the shard lock, so the entry cannot be unparked
-		// (and its Prognos handed to a session) mid-snapshot.
-		states[p.token] = cluster.SessionState{
-			Token:     p.token,
-			Carrier:   p.carrier,
-			Arch:      p.arch,
-			Seq:       p.seq,
-			Responses: resp,
-			Snapshot:  p.prog.Snapshot(),
+		if !now.After(p.expires) {
+			states[p.token] = p.state() // forEach holds the shard lock (see state)
 		}
 	})
-	byTarget := make(map[string][]cluster.SessionState)
-	for _, st := range states {
-		target := rest.Owner(st.Token)
-		byTarget[target] = append(byTarget[target], st)
-	}
-	var contexts []cluster.SessionState
-	for k, snap := range s.warm.all() {
-		arch, err := cellular.ParseArch(k.arch)
-		if err != nil {
-			continue
-		}
-		contexts = append(contexts, cluster.SessionState{
-			Carrier:  k.carrier,
-			Arch:     arch,
-			Snapshot: snap,
-		})
-	}
 	timeout := 4 * s.opts.ReplicationInterval
 	if timeout < 2*time.Second {
 		timeout = 2 * time.Second
 	}
-	var bytes int64
-	shipped := false
-	for _, target := range rest.Members() {
-		sts := append(byTarget[target], contexts...)
-		if len(sts) == 0 {
-			continue
-		}
-		if s.detector != nil && s.detector.Down(target) {
-			continue
-		}
-		st, err := cluster.ShipReplicas(target, s.opts.NodeAddr, sts, timeout)
-		bytes += st.Bytes
-		if err != nil {
-			continue
-		}
-		shipped = true
-	}
-	if shipped {
-		s.stats.ReplicationPushed(bytes)
+	total, targets, _ := s.shipRound(rest, states, true, timeout)
+	if targets > 0 {
+		s.stats.ReplicationPushed(total.Bytes)
 	}
 }

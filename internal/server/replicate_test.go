@@ -105,11 +105,11 @@ func TestReplicaGaugeSeparateFromParked(t *testing.T) {
 		Seq:     3,
 		Partial: true,
 	}
-	if err := srv.installReplica(st, "peer"); err != nil {
+	if err := srv.installState(st, "peer", true); err != nil {
 		t.Fatal(err)
 	}
 	// Re-installing the same token refreshes, never re-counts.
-	if err := srv.installReplica(st, "peer"); err != nil {
+	if err := srv.installState(st, "peer", true); err != nil {
 		t.Fatal(err)
 	}
 	snap := srv.Stats()
@@ -129,7 +129,7 @@ func TestReplicaGaugeSeparateFromParked(t *testing.T) {
 
 	// Holding both at once (anti-entropy pushes the token back while its
 	// promoted state is still parked) counts one each, not two anywhere.
-	if err := srv.installReplica(st, "peer"); err != nil {
+	if err := srv.installState(st, "peer", true); err != nil {
 		t.Fatal(err)
 	}
 	snap = srv.Stats()
@@ -249,26 +249,26 @@ func TestInstallReplicaRejections(t *testing.T) {
 	srv := Serve(ln, Options{Cluster: ring, NodeAddr: ln.Addr().String()}) // resume disabled
 	defer srv.Close()
 
-	if err := srv.installReplica(cluster.SessionState{
+	if err := srv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion + 1, Carrier: "OpX",
-	}, "peer"); err == nil {
+	}, "peer", true); err == nil {
 		t.Error("future-version state installed")
 	}
-	if err := srv.installReplica(cluster.SessionState{
+	if err := srv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion,
-	}, "peer"); err == nil {
+	}, "peer", true); err == nil {
 		t.Error("carrier-less state installed")
 	}
-	if err := srv.installReplica(cluster.SessionState{
+	if err := srv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion, Carrier: "OpX", Token: "tok",
-	}, "peer"); err == nil {
+	}, "peer", true); err == nil {
 		t.Error("tokened state installed with resume disabled")
 	}
 	// Token-less context snapshot: accepted into the warm store, no
 	// replica entry.
-	if err := srv.installReplica(cluster.SessionState{
+	if err := srv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion, Carrier: "OpX", Arch: cellular.ArchLTE,
-	}, "peer"); err != nil {
+	}, "peer", true); err != nil {
 		t.Errorf("context snapshot rejected: %v", err)
 	}
 	if n := srv.replicas.size(); n != 0 {
@@ -308,10 +308,10 @@ func TestFailoverTarget(t *testing.T) {
 	})
 
 	// Confirmed down, replica held: the holder serves.
-	if err := succSrv.installReplica(cluster.SessionState{
+	if err := succSrv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion, Carrier: "OpX", Arch: cellular.ArchLTE,
 		Token: tok, Seq: 1, Partial: true,
-	}, owner); err != nil {
+	}, owner, true); err != nil {
 		t.Fatal(err)
 	}
 	if serve, _ := succSrv.failoverTarget(owner, tok); !serve {

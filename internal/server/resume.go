@@ -77,6 +77,10 @@ type parkedSession struct {
 	carrier string
 	arch    cellular.Arch
 	expires time.Time
+	// disableReportPredictor is the session's hello setting, carried so
+	// the learner rebuilt wherever the session moves runs the same
+	// pipeline (newPrognos).
+	disableReportPredictor bool
 	// migrated marks state installed by a cluster migration rather than
 	// parked by a local session; its first resume counts as a migrated
 	// (warm-handoff) resume.

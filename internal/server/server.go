@@ -39,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/ran"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -116,7 +115,7 @@ type Options struct {
 	// ReplicationInterval enables async warm-state replication: every
 	// interval the node pushes its live-session resume states, parked
 	// sessions and warm context snapshots to their ring successors
-	// (ShipReplicas, docs/PROTOCOL.md §Replication frames), so a crash of
+	// (ShipReplicas, docs/PROTOCOL.md §State-transfer frames), so a crash of
 	// this node loses at most the samples accumulated since the last push
 	// — never a whole session's learner state (docs/ARCHITECTURE.md
 	// §Failure model). 0 disables replication. Requires Cluster.
@@ -283,13 +282,22 @@ func (s *Server) stopAccept() {
 // their goroutines to unwind. Drain is the graceful alternative.
 func (s *Server) Close() error {
 	s.stopAccept()
+	s.cutSessions()
+	return s.closeErr
+}
+
+// cutSessions force-closes every active session conn and waits for the
+// session goroutines to unwind — resumable sessions park on the way out —
+// returning how many it cut.
+func (s *Server) cutSessions() int {
 	s.mu.Lock()
+	n := len(s.conns)
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	return s.closeErr
+	return n
 }
 
 // Kill tears the server down the way a crash does: accepting stops, every
@@ -328,13 +336,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 		return nil
 	case <-time.After(timeout):
 	}
-	s.mu.Lock()
-	forced := len(s.conns)
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	forced := s.cutSessions()
 	if s.opts.CheckpointDir != "" {
 		// Final checkpoint: every session has now pushed its last warm
 		// snapshot, so this capture is the complete pre-shutdown state.
@@ -537,6 +539,18 @@ func newBinaryCodec(br *bufio.Reader, w *bufio.Writer) *binaryCodec {
 	return &binaryCodec{fr: wire.NewFrameReader(br), fw: wire.NewFrameWriter(w), w: w}
 }
 
+// ackBinary acknowledges a binary framing request on the JSONL layer
+// (docs/PROTOCOL.md §Negotiation) and returns the codec for everything
+// after that line. The ack stays buffered until the caller flushes.
+func ackBinary(br *bufio.Reader, w *bufio.Writer) (*binaryCodec, error) {
+	err := json.NewEncoder(w).Encode(wire.FramingAck{
+		FramingAck:  true,
+		Framing:     wire.FramingBinary,
+		WireVersion: wire.ProtocolVersion,
+	})
+	return newBinaryCodec(br, w), err
+}
+
 func (c *binaryCodec) ReadRecord(rec *Record) error {
 	typ, p, err := c.fr.ReadFrame()
 	if err != nil {
@@ -654,14 +668,12 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		// reaches the client in the framing it can already parse.
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	if hello.Migrate {
-		// Node-to-node migration stream: no MaxSessions slot, no session
-		// counters — it is control plane, not serving load.
-		return s.serveMigration(&hello, br, w, framing)
-	}
-	if hello.Replicate {
-		// Node-to-node async replication stream: control plane too.
-		return s.serveReplication(&hello, br, w, framing)
+	if hello.Migrate || hello.Replicate {
+		// Node-to-node state-transfer stream: no MaxSessions slot, no
+		// session counters — it is control plane, not serving load. The
+		// hello fixes the disposition for the whole stream; a migrate
+		// hello wins if a peer sets both.
+		return s.serveTransfer(&hello, br, w, framing, !hello.Migrate)
 	}
 	if s.opts.Cluster != nil && hello.SessionToken != "" {
 		// Ownership check, before the slot claim so redirects cost
@@ -696,17 +708,13 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 
 	var cdc codec
 	if framing == wire.FramingBinary {
-		// Acknowledge the switch on the JSONL layer; everything after
-		// this line (ResumeAck, replay, responses) is binary frames.
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(wire.FramingAck{
-			FramingAck:  true,
-			Framing:     wire.FramingBinary,
-			WireVersion: wire.ProtocolVersion,
-		}); err != nil {
+		// Everything after the ack line (ResumeAck, replay, responses) is
+		// binary frames.
+		bc, err := ackBinary(br, w)
+		if err != nil {
 			return nil, err
 		}
-		cdc = newBinaryCodec(br, w)
+		cdc = bc
 	} else {
 		cdc = newJSONLCodec(br, w)
 	}
@@ -771,11 +779,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 	}
 	if !resumed {
 		var err error
-		prog, err = core.New(core.Config{
-			EventConfigs:       ran.EventConfigsFor(hello.Carrier, hello.Arch),
-			Arch:               hello.Arch,
-			UseReportPredictor: !hello.DisableReportPredictor,
-		})
+		prog, err = newPrognos(hello.Carrier, hello.Arch, hello.DisableReportPredictor)
 		if err != nil {
 			return cdc, err
 		}
@@ -797,12 +801,13 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			return errInterrupted
 		}
 		s.park(&parkedSession{
-			token:   hello.SessionToken,
-			prog:    prog,
-			seq:     seq,
-			buf:     buf,
-			carrier: hello.Carrier,
-			arch:    hello.Arch,
+			token:                  hello.SessionToken,
+			prog:                   prog,
+			seq:                    seq,
+			buf:                    buf,
+			carrier:                hello.Carrier,
+			arch:                   hello.Arch,
+			disableReportPredictor: hello.DisableReportPredictor,
 		})
 		return errInterrupted
 	}
@@ -933,7 +938,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			if replicating {
 				if gen := s.repGen.Load(); gen != lastRepGen {
 					lastRepGen = gen
-					s.replOut.put(hello.SessionToken, hello.Carrier, hello.Arch, seq, buf)
+					s.replOut.put(&hello, seq, buf)
 				}
 			}
 		}
@@ -962,15 +967,8 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		Arch:    hello.Arch.String(),
 		RespSeq: seq,
 	})
-	if resumable && seq > 0 {
-		s.park(&parkedSession{
-			token:   hello.SessionToken,
-			prog:    prog,
-			seq:     seq,
-			buf:     buf,
-			carrier: hello.Carrier,
-			arch:    hello.Arch,
-		})
+	if resumable {
+		park()
 	}
 	return cdc, nil
 }

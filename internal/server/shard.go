@@ -231,18 +231,7 @@ func (t *parkedTable) has(token string, now time.Time) bool {
 // drainAll removes and returns every parked session, expired or not — the
 // migration path ships them all; the target re-arms expiry on install.
 func (t *parkedTable) drainAll() []*parkedSession {
-	var out []*parkedSession
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for token, p := range sh.m {
-			delete(sh.m, token)
-			t.count.Add(-1)
-			out = append(out, p)
-		}
-		sh.mu.Unlock()
-	}
-	return out
+	return t.removeIf(func(*parkedSession) bool { return true })
 }
 
 // forEach calls fn on every parked session, one shard lock at a time. fn
@@ -276,18 +265,24 @@ func (t *parkedTable) remove(token string) *parkedSession {
 
 // sweep removes and returns every parked session past its grace window.
 func (t *parkedTable) sweep(now time.Time) []*parkedSession {
-	var expired []*parkedSession
+	return t.removeIf(func(p *parkedSession) bool { return now.After(p.expires) })
+}
+
+// removeIf removes and returns every parked session matching pred, one
+// shard lock at a time.
+func (t *parkedTable) removeIf(pred func(*parkedSession) bool) []*parkedSession {
+	var out []*parkedSession
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for token, p := range sh.m {
-			if now.After(p.expires) {
+			if pred(p) {
 				delete(sh.m, token)
 				t.count.Add(-1)
-				expired = append(expired, p)
+				out = append(out, p)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return expired
+	return out
 }

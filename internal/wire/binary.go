@@ -33,23 +33,17 @@ const (
 	// FrameHO carries one handover event (client→server).
 	FrameHO byte = 0x03
 	// FrameMigrate carries one warm session state between cluster nodes
-	// (shipping node→receiving node). Only valid on sessions whose hello
-	// set "migrate": true, so its absence never occurs mid-session and no
-	// version bump is needed (docs/PROTOCOL.md §Migration frames). The
-	// payload is the JSON encoding of a cluster session state; migration
-	// is a control-plane path, so it trades the fixed-width layout for an
-	// evolvable schema.
+	// (shipping node→receiving node), for drain migration and crash
+	// replication alike. Only valid on sessions whose hello set "migrate"
+	// or "replicate" — the hello flag, not the frame, tells the receiver
+	// whether to serve the state now or hold it as a replica — so its
+	// absence never occurs mid-session and no version bump is needed
+	// (docs/PROTOCOL.md §State-transfer frames). The payload is the JSON
+	// encoding of a cluster session state; state transfer is a
+	// control-plane path, so it trades the fixed-width layout for an
+	// evolvable schema. Type 0x05 is retired (it once carried replication
+	// pushes) and is refused like any unknown type.
 	FrameMigrate byte = 0x04
-	// FrameReplicate carries one warm session state from a node to its
-	// ring successor on the async replication path (shipping
-	// node→replica holder). Only valid on sessions whose hello set
-	// "replicate": true, so — like FrameMigrate — no version bump is
-	// needed (docs/PROTOCOL.md §Replication frames). The payload is the
-	// same JSON session-state schema FrameMigrate carries; the frame type
-	// differs so a receiver can never mistake a replica push (held
-	// passively until confirmed failure) for a drain handoff (served
-	// immediately).
-	FrameReplicate byte = 0x05
 	// FrameResponse carries one per-sample prediction (server→client).
 	FrameResponse byte = 0x81
 	// FrameResumeAck carries the post-hello resume acknowledgement
@@ -60,12 +54,9 @@ const (
 	FrameError byte = 0x83
 	// FrameMigrateAck acknowledges one FrameMigrate (receiving
 	// node→shipping node): uint8 ok | int64 seq, where seq is the 1-based
-	// ordinal of the migrate frame it answers.
+	// ordinal of the migrate frame it answers. Type 0x85 is retired with
+	// 0x05.
 	FrameMigrateAck byte = 0x84
-	// FrameReplicateAck acknowledges one FrameReplicate (replica
-	// holder→shipping node); same uint8 ok | int64 seq layout as
-	// FrameMigrateAck.
-	FrameReplicateAck byte = 0x85
 )
 
 // Fixed payload lengths (bytes) of the fixed-width frame types.
@@ -243,28 +234,6 @@ func (fw *FrameWriter) WriteMigrate(payload []byte) error {
 // WriteMigrateAck emits the acknowledgement of one migrate frame.
 func (fw *FrameWriter) WriteMigrateAck(a MigrateAck) error {
 	b := fw.begin(FrameMigrateAck)
-	b = appendBool(b, a.OK)
-	b = appendI64(b, a.Seq)
-	return fw.finish(b)
-}
-
-// WriteReplicate emits one JSON-encoded session state as a
-// FrameReplicate frame. Like WriteMigrate, the encoding is the caller's
-// (internal/cluster owns the schema); the wire layer only frames it.
-func (fw *FrameWriter) WriteReplicate(payload []byte) error {
-	if len(payload) > MaxFrameBytes {
-		return ErrFrameTooLarge
-	}
-	b := fw.begin(FrameReplicate)
-	b = append(b, payload...)
-	return fw.finish(b)
-}
-
-// WriteReplicateAck emits the acknowledgement of one replicate frame. It
-// reuses the MigrateAck layout (uint8 ok | int64 seq) under the
-// FrameReplicateAck type.
-func (fw *FrameWriter) WriteReplicateAck(a MigrateAck) error {
-	b := fw.begin(FrameReplicateAck)
 	b = appendBool(b, a.OK)
 	b = appendI64(b, a.Seq)
 	return fw.finish(b)
@@ -451,16 +420,6 @@ func DecodeResumeAck(p []byte, a *ResumeAck) error {
 // DecodeMigrateAck decodes a FrameMigrateAck payload into a.
 func DecodeMigrateAck(p []byte, a *MigrateAck) error {
 	if err := fixedLen(p, migrateAckFrameLen, "migrate_ack"); err != nil {
-		return err
-	}
-	a.OK = p[0] != 0
-	a.Seq = getI64(p[1:])
-	return nil
-}
-
-// DecodeReplicateAck decodes a FrameReplicateAck payload into a.
-func DecodeReplicateAck(p []byte, a *MigrateAck) error {
-	if err := fixedLen(p, migrateAckFrameLen, "replicate_ack"); err != nil {
 		return err
 	}
 	a.OK = p[0] != 0

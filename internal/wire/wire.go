@@ -96,21 +96,18 @@ type Hello struct {
 	// cannot satisfy it send an ErrorLine instead (see
 	// docs/PROTOCOL.md §Negotiation).
 	Framing string `json:"framing,omitempty"`
-	// Migrate, when true, turns the session into a node-to-node warm-state
-	// migration stream (docs/PROTOCOL.md §Migration frames): the peer is
-	// another prognosd shipping parked-session state and warm snapshots,
-	// not a UE. Migration streams require the binary framing and exchange
-	// FrameMigrate/FrameMigrateAck frames. Node names the shipping node.
-	Migrate bool   `json:"migrate,omitempty"`
-	Node    string `json:"node,omitempty"`
-	// Replicate, when true, turns the session into a node-to-node async
-	// replication stream (docs/PROTOCOL.md §Replication frames): the peer
-	// is another prognosd pushing warm snapshots and session states for
-	// passive safekeeping on this node — the crash-fault successor copy,
-	// not a drain handoff. Replication streams require the binary framing
-	// and exchange FrameReplicate/FrameReplicateAck frames; Node names
-	// the shipping node, as for Migrate.
-	Replicate bool `json:"replicate,omitempty"`
+	// Migrate and Replicate each turn the session into a node-to-node
+	// state-transfer stream (docs/PROTOCOL.md §State-transfer frames):
+	// the peer is another prognosd shipping parked-session state and
+	// warm snapshots, not a UE. Both flags select the same stream —
+	// binary framing, FrameMigrate/FrameMigrateAck frames — and differ
+	// only in what the receiver does with the states: Migrate is a drain
+	// handoff the receiver serves now; Replicate is the crash-fault
+	// successor copy it holds passively until its origin is confirmed
+	// down. Node names the shipping node.
+	Migrate   bool   `json:"migrate,omitempty"`
+	Node      string `json:"node,omitempty"`
+	Replicate bool   `json:"replicate,omitempty"`
 }
 
 // FramingAck is the JSONL line a server sends in answer to a hello that
@@ -187,8 +184,8 @@ type ErrorLine struct {
 	Redirect string `json:"redirect,omitempty"`
 }
 
-// MigrateAck is the per-record acknowledgement of a migration stream: the
-// receiving node confirms (or rejects) one shipped session state. Seq is
+// MigrateAck is the per-record acknowledgement of a state-transfer stream:
+// the receiving node confirms (or rejects) one shipped session state. Seq is
 // the 1-based ordinal of the FrameMigrate it answers, so a shipping node
 // can pipeline frames and still attribute every verdict.
 type MigrateAck struct {
