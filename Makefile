@@ -7,8 +7,9 @@ ci: check race cover
 
 # Static gate plus the smokes: vet, formatting, a full build, the fast
 # test suite, the benchmark module's vet + tests, and finally the
-# expensive chaos fleet. Ordering matters — a unit-test failure should
-# surface in seconds, not after a 5s race-instrumented fleet run.
+# expensive fleet and experiment smokes — the same ones CI runs as their
+# own jobs. Ordering matters — a unit-test failure should surface in
+# seconds, not after a 5s race-instrumented fleet run.
 check:
 	go vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -18,6 +19,7 @@ check:
 	go test -short ./...
 	$(MAKE) perfbench-test
 	$(MAKE) chaos
+	$(MAKE) protocol-compat
 	$(MAKE) cluster
 	$(MAKE) crashtest
 	$(MAKE) sweep
@@ -100,7 +102,7 @@ crashtest:
 # odd JSONL — see docs/PROTOCOL.md) with a pipelining window, against an
 # in-process server under the race detector. Every sample must earn a
 # prediction whichever framing carried it; prognosload exits non-zero
-# otherwise. CI runs this as its own job.
+# otherwise. CI runs this as its own job; `make check` runs it too.
 protocol-compat:
 	go run -race ./cmd/prognosload -selfserve -ues 16 -duration 5s \
 		-mode closed -ramp 500ms -framing mixed -window 4

@@ -31,14 +31,16 @@
 // Cluster mode: -addrs points the fleet at an external prognosd cluster
 // (each UE dials its token's consistent-hash owner, with the remaining
 // members as fallbacks, and follows ownership redirects); -cluster N
-// starts an in-process N-node cluster instead. -rolling-restart drain-
-// restarts every in-process node once under load — the zero-loss warm
-// migration acceptance run `make cluster` gates on, together with
-// -min-warm-resume. -node-kill instead hard-crashes one in-process node
-// mid-load (no drain — connections RST, local state lost) and revives it
-// later: survival rides on async warm-state replication and detector-
-// confirmed failover (docs/ARCHITECTURE.md §Failure model), and the same
-// zero-loss and warm-resume gates apply — the `make crashtest` run.
+// starts an in-process N-node cluster instead. The two fault flags pick a
+// fault schedule for that in-process cluster and fail the run without
+// -cluster N, N > 1; at most one may be set. -rolling-restart drain-
+// restarts every node once under load — the zero-loss warm migration
+// acceptance run `make cluster` gates on, together with -min-warm-resume.
+// -node-kill instead hard-crashes one node mid-load (no drain —
+// connections RST, local state lost) and starts it again later: survival
+// rides on async warm-state replication and detector-confirmed failover
+// (docs/ARCHITECTURE.md §Failure model), and the same zero-loss and
+// warm-resume gates apply — the `make crashtest` run.
 //
 // -framing selects the wire framing the UEs negotiate (docs/PROTOCOL.md):
 // jsonl (default), binary, or mixed (even UEs binary, odd JSONL — the
@@ -72,7 +74,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/geo"
 	"repro/internal/ran"
-	"repro/internal/server"
 )
 
 func main() {
@@ -102,7 +103,7 @@ func main() {
 	addrs := flag.String("addrs", "", "comma-separated external cluster member list; UEs route by consistent hash")
 	clusterNodes := flag.Int("cluster", 0, "start an in-process cluster of N nodes and load it (N > 1)")
 	rollingRestart := flag.Bool("rolling-restart", false, "with -cluster: drain-restart every node once under load")
-	nodeKill := flag.Bool("node-kill", false, "with -cluster: hard-crash one node mid-load (no drain) and revive it later")
+	nodeKill := flag.Bool("node-kill", false, "with -cluster: hard-crash one node mid-load (no drain) and start it again later")
 	minWarmResume := flag.Float64("min-warm-resume", 0, "fail the run if the warm-resume ratio falls below this (0 = off)")
 	adaptive := flag.Bool("adaptive", false, "generate each UE's drive under the closed-loop adaptive handover controller (vs-static comparison in the report)")
 	flag.Parse()
@@ -121,7 +122,7 @@ func main() {
 	}
 
 	cfg := fleet.Config{
-		Addr:          *addr,
+		Nodes:         *clusterNodes,
 		UEs:           *ues,
 		Duration:      *duration,
 		Mode:          m,
@@ -136,23 +137,25 @@ func main() {
 		MaxReconnects: *reconnect,
 		OpsAddr:       *opsAddr,
 	}
-	if *selfServe {
-		cfg.Addr = ""
-		cfg.Server = server.Options{}
-	}
-	if *addrs != "" {
-		cfg.Addr = ""
+	switch {
+	case *addrs != "":
 		for _, a := range strings.Split(*addrs, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				cfg.Addrs = append(cfg.Addrs, a)
 			}
 		}
+	case !*selfServe && *clusterNodes <= 1:
+		cfg.Addrs = []string{*addr}
 	}
-	if *clusterNodes > 1 {
-		cfg.Addr = ""
-		cfg.ClusterNodes = *clusterNodes
-		cfg.RollingRestart = *rollingRestart
-		cfg.NodeKill = *nodeKill
+	// Forwarded unconditionally: fleet.Run rejects a fault schedule
+	// without an in-process cluster rather than silently dropping it.
+	switch {
+	case *rollingRestart && *nodeKill:
+		fatal(fmt.Errorf("-rolling-restart and -node-kill are mutually exclusive"))
+	case *rollingRestart:
+		cfg.Faults = fleet.RollingRestart
+	case *nodeKill:
+		cfg.Faults = fleet.NodeKill
 	}
 	if *adaptive {
 		cfg.Adaptive = ran.DefaultAdaptive()

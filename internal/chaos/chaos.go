@@ -240,7 +240,7 @@ func (l *Listener) History() []Plan {
 // RSTClose tears a connection down abruptly: SO_LINGER 0 makes the close
 // send an RST instead of a FIN, the way a crashed peer or cleared NAT
 // entry looks from the other side. The chaos proxy uses it for reset
-// faults; the node-kill chaos mode (server.Kill, fleet Config.NodeKill)
+// faults; the node-kill fault schedule (server.Kill, fleet NodeKill)
 // uses it to make a whole node's teardown look like a crash.
 func RSTClose(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -103,35 +102,15 @@ func RunHOLoop(ctx context.Context, cfg HOLoopConfig) (metrics.HOLoopReport, err
 	}
 
 	results := make([]metrics.HOLoopUE, cfg.UEs)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				u := runHOLoopUE(cfg, i)
-				results[i] = u
-				if cfg.OnUE != nil {
-					cfg.OnUE(u)
-				}
-			}
-		}()
-	}
-	cancelled := false
-feed:
-	for i := 0; i < cfg.UEs; i++ {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			cancelled = true
-			break feed
+	err := fanOut(ctx, cfg.UEs, cfg.Jobs, func(i int) {
+		u := runHOLoopUE(cfg, i)
+		results[i] = u
+		if cfg.OnUE != nil {
+			cfg.OnUE(u)
 		}
-	}
-	close(work)
-	wg.Wait()
-	if cancelled {
-		return report, ctx.Err()
+	})
+	if err != nil {
+		return report, err
 	}
 	report.Results = results
 	report.Summarize()

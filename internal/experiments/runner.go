@@ -93,58 +93,74 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	defer cancel()
 
 	results := make([]Result, len(specs))
-	work := make(chan int)
-	var wg sync.WaitGroup
 	var mu sync.Mutex // guards done and firstErr
 	var done int
 	var firstErr error
 
-	worker := func() {
-		defer wg.Done()
-		for i := range work {
-			res := runOne(ctx, specs[i], opts)
-			results[i] = res
+	// Every spec must yield a Result, skipped or not, so the pool itself
+	// is never cancelled; runOne sees ctx and marks late specs skipped.
+	fanOut(context.Background(), len(specs), jobs, func(i int) {
+		res := runOne(ctx, specs[i], opts)
+		results[i] = res
 
-			mu.Lock()
-			done++
-			ev := Event{
-				ID:       res.Spec.ID,
-				Paper:    res.Spec.Paper,
-				Done:     done,
-				Total:    len(specs),
-				Duration: time.Duration(res.Metrics.WallMS * float64(time.Millisecond)),
-				Rows:     res.Metrics.Rows,
-				Err:      res.Err,
-				Skipped:  res.Skipped,
-			}
-			if res.Err != nil && !res.Skipped && firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", res.Spec.ID, res.Err)
-				if r.FailFast {
-					cancel()
-				}
-			}
-			mu.Unlock()
-
-			if r.Events != nil {
-				r.Events <- ev
+		mu.Lock()
+		done++
+		ev := Event{
+			ID:       res.Spec.ID,
+			Paper:    res.Spec.Paper,
+			Done:     done,
+			Total:    len(specs),
+			Duration: time.Duration(res.Metrics.WallMS * float64(time.Millisecond)),
+			Rows:     res.Metrics.Rows,
+			Err:      res.Err,
+			Skipped:  res.Skipped,
+		}
+		if res.Err != nil && !res.Skipped && firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", res.Spec.ID, res.Err)
+			if r.FailFast {
+				cancel()
 			}
 		}
-	}
+		mu.Unlock()
 
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go worker()
-	}
-	for i := range specs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+		if r.Events != nil {
+			r.Events <- ev
+		}
+	})
 
 	if firstErr == nil {
 		firstErr = ctx.Err()
 	}
 	return results, firstErr
+}
+
+// fanOut hands the indices [0, n) to jobs workers running do, stops
+// feeding once ctx is done, and waits for the workers to finish. It
+// returns ctx's error when cancellation left indices unhanded.
+func fanOut(ctx context.Context, n, jobs int, do func(i int)) error {
+	work := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(jobs)
+	for w := 0; w < jobs; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				do(i)
+			}
+		}()
+	}
+	defer func() {
+		close(work)
+		wg.Wait()
+	}()
+	for i := 0; i < n; i++ {
+		select {
+		case work <- i:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
 // runOne executes a single spec with its own metrics probe, or marks it

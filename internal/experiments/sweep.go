@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -108,38 +107,18 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (metrics.SweepReport, error)
 	}
 
 	results := make([]metrics.SweepCarrier, cfg.Carriers)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				c := runSweepCarrier(cfg, i)
-				results[i] = c
-				if cfg.Stats != nil {
-					cfg.Stats.Observe(c)
-				}
-				if cfg.OnCarrier != nil {
-					cfg.OnCarrier(c)
-				}
-			}
-		}()
-	}
-	cancelled := false
-feed:
-	for i := 0; i < cfg.Carriers; i++ {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			cancelled = true
-			break feed
+	err := fanOut(ctx, cfg.Carriers, cfg.Jobs, func(i int) {
+		c := runSweepCarrier(cfg, i)
+		results[i] = c
+		if cfg.Stats != nil {
+			cfg.Stats.Observe(c)
 		}
-	}
-	close(work)
-	wg.Wait()
-	if cancelled {
-		return report, ctx.Err()
+		if cfg.OnCarrier != nil {
+			cfg.OnCarrier(c)
+		}
+	})
+	if err != nil {
+		return report, err
 	}
 	report.Results = results
 	report.Summarize()

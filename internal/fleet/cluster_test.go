@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/cellular"
 	"repro/internal/chaos"
+	"repro/internal/metrics"
 	"repro/internal/server"
+	"repro/internal/trace"
 )
 
 // TestFleetClusterClosedLoop drives a 3-node in-process cluster in closed
@@ -14,11 +18,11 @@ import (
 // the aggregate.
 func TestFleetClusterClosedLoop(t *testing.T) {
 	rep, err := Run(Config{
-		UEs:          12,
-		Duration:     600 * time.Millisecond,
-		Mode:         ModeClosed,
-		Seed:         3,
-		ClusterNodes: 3,
+		UEs:      12,
+		Duration: 600 * time.Millisecond,
+		Mode:     ModeClosed,
+		Seed:     3,
+		Nodes:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +66,12 @@ func TestFleetClusterClosedLoop(t *testing.T) {
 // its ring successor, and the resilient clients resume there.
 func TestFleetRollingRestartZeroLoss(t *testing.T) {
 	rep, err := Run(Config{
-		UEs:            8,
-		Duration:       2 * time.Second,
-		Mode:           ModeOpen,
-		Seed:           9,
-		ClusterNodes:   3,
-		RollingRestart: true,
+		UEs:      8,
+		Duration: 2 * time.Second,
+		Mode:     ModeOpen,
+		Seed:     9,
+		Nodes:    3,
+		Faults:   RollingRestart,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,12 +126,12 @@ func TestFleetRollingRestartZeroLoss(t *testing.T) {
 // count itself is asserted only through the per-node kill accounting.
 func TestFleetNodeKillZeroLoss(t *testing.T) {
 	rep, err := Run(Config{
-		UEs:          8,
-		Duration:     2 * time.Second,
-		Mode:         ModeClosed,
-		Seed:         11,
-		ClusterNodes: 3,
-		NodeKill:     true,
+		UEs:      8,
+		Duration: 2 * time.Second,
+		Mode:     ModeClosed,
+		Seed:     11,
+		Nodes:    3,
+		Faults:   NodeKill,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +180,7 @@ func TestFleetNodeKillZeroLoss(t *testing.T) {
 // own ring built from the member list, and per-node stats come from each
 // node's stats endpoint.
 func TestFleetClusterExternalAddrs(t *testing.T) {
-	rig, err := newClusterRig(3, server.Options{ResumeGrace: 5 * time.Second})
+	rig, err := newRig(3, server.Options{ResumeGrace: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,21 +210,179 @@ func TestFleetClusterExternalAddrs(t *testing.T) {
 	}
 }
 
-// TestFleetClusterConfigErrors pins the mutual-exclusion rules.
+// TestFleetExternalReportCarriesCrashCounters runs the Addrs path against
+// a replicating rig: the report's crash-fault fields must come from the
+// fetched aggregate like the migration fields do, not read zero.
+func TestFleetExternalReportCarriesCrashCounters(t *testing.T) {
+	rig, err := newRig(3, server.Options{
+		ResumeGrace:         5 * time.Second,
+		ReplicationInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.close()
+
+	rep, err := Run(Config{
+		UEs:      6,
+		Duration: 400 * time.Millisecond,
+		Mode:     ModeClosed,
+		Seed:     17,
+		Addrs:    rig.addrs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FailedUEs != 0 || rep.LostSamples != 0 {
+		t.Fatalf("failed UEs %d, lost %d, errors %v", rep.FailedUEs, rep.LostSamples, rep.Errors)
+	}
+	if rep.Server == nil || len(rep.PerNode) != 3 {
+		t.Fatalf("fetched aggregate missing or partial: %+v, per-node %d", rep.Server, len(rep.PerNode))
+	}
+	if rep.ReplicationPushes == 0 || rep.ReplicationPushes != rep.Server.ReplicationPushes {
+		t.Errorf("replication pushes %d, aggregate %d", rep.ReplicationPushes, rep.Server.ReplicationPushes)
+	}
+	if rep.ReplicationBytes == 0 || rep.ReplicationBytes != rep.Server.ReplicationBytesOut {
+		t.Errorf("replication bytes %d, aggregate %d", rep.ReplicationBytes, rep.Server.ReplicationBytesOut)
+	}
+	if rep.Failovers != rep.Server.Failovers {
+		t.Errorf("failovers %d, aggregate %d", rep.Failovers, rep.Server.Failovers)
+	}
+}
+
+// TestFleetClusterConfigErrors pins the three target and fault rules:
+// Addrs and Nodes > 1 exclude each other, Chaos needs a single target,
+// and a fault schedule needs an in-process cluster.
 func TestFleetClusterConfigErrors(t *testing.T) {
 	bad := []Config{
-		{ClusterNodes: 3, Addr: "127.0.0.1:1"},
-		{Addrs: []string{"a:1", "b:2"}, Addr: "127.0.0.1:1"},
-		{ClusterNodes: 3, Addrs: []string{"a:1", "b:2"}},
-		{ClusterNodes: 2, Chaos: &chaos.Config{}},
-		{RollingRestart: true},
-		{RollingRestart: true, Addrs: []string{"a:1", "b:2"}},
-		{NodeKill: true},
-		{NodeKill: true, RollingRestart: true, ClusterNodes: 3},
+		{Nodes: 3, Addrs: []string{"127.0.0.1:1"}},
+		{Nodes: 3, Addrs: []string{"a:1", "b:2"}},
+		{Nodes: 2, Chaos: &chaos.Config{}},
+		{Addrs: []string{"a:1", "b:2"}, Chaos: &chaos.Config{}},
+		{Faults: RollingRestart},
+		{Faults: RollingRestart, Addrs: []string{"a:1", "b:2"}},
+		{Faults: NodeKill},
+		{Faults: NodeKill, Addrs: []string{"127.0.0.1:1"}},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d accepted, want error", i)
 		}
+	}
+}
+
+// TestFaultSchedules pins both schedules' timing, so a change shows up
+// without the multi-second smokes.
+func TestFaultSchedules(t *testing.T) {
+	const d = 5 * time.Second
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		f    Fault
+		want []step
+	}{
+		{NoFaults, nil},
+		{RollingRestart, []step{
+			{1250 * ms, 0, opDrain}, {1250 * ms, 0, opStart},
+			{2500 * ms, 1, opDrain}, {2500 * ms, 1, opStart},
+			{3750 * ms, 2, opDrain}, {3750 * ms, 2, opStart},
+		}},
+		{NodeKill, []step{{2500 * ms, 0, opKill}, {3750 * ms, 0, opStart}}},
+	} {
+		if got := tc.f.schedule(3, d); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("schedule %d: got %v, want %v", tc.f, got, tc.want)
+		}
+	}
+}
+
+// TestNodeStartKeepsCounters drain-stops a node that has served samples
+// and starts it again: starting retires the stopped generation into the
+// node's lifetime counters without counting it twice, so stats() reads
+// the same before and after.
+func TestNodeStartKeepsCounters(t *testing.T) {
+	rig, err := newRig(2, server.Options{ResumeGrace: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.close()
+	n := rig.nodes[0]
+
+	c, err := server.Dial(n.addr, server.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 5; k++ {
+		smp := trace.Sample{
+			Time:       time.Duration(k) * trace.SamplePeriod,
+			Arch:       cellular.ArchNSA,
+			ServingLTE: trace.CellObs{PCI: 1, Valid: true, RSRP: -85},
+		}
+		if _, err := c.SendSample(smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+
+	if err := n.drain(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	before := n.stats()
+	if err := n.start(); err != nil {
+		t.Fatal(err)
+	}
+	after := n.stats()
+	if before.Samples != 5 {
+		t.Fatalf("stopped node counts %d samples, want 5", before.Samples)
+	}
+	// Uptime is a gauge that keeps ticking and latency histograms do not
+	// sum across generations; every counter must hold still.
+	before.UptimeMS, after.UptimeMS = 0, 0
+	before.Latency, after.Latency = metrics.LatencySnapshot{}, metrics.LatencySnapshot{}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("start changed the node's counters:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestRigReadableMidFault reads the rig the way the ops plane does while
+// the test goroutine plays both schedules' ops against its nodes; under
+// -race this pins that reads of a node's server go through the node
+// mutex.
+func TestRigReadableMidFault(t *testing.T) {
+	rig, err := newRig(2, server.Options{ResumeGrace: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.close()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snaps, _ := rig.report()
+			aggregate(snaps)
+			rig.ready()
+		}
+	}()
+	steps := append(RollingRestart.schedule(2, 0), NodeKill.schedule(2, 0)...)
+	for _, s := range steps {
+		if err := rig.nodes[s.node].apply(s.op); err != nil {
+			t.Errorf("node %d %s: %v", s.node, s.op, err)
+		}
+	}
+	close(stop)
+	<-done
+	var restarts, kills int
+	_, rows := rig.report()
+	for _, r := range rows {
+		restarts += r.Restarts
+		kills += r.Kills
+	}
+	if restarts != 2 || kills != 1 {
+		t.Errorf("restarts %d, kills %d; want 2 and 1", restarts, kills)
 	}
 }

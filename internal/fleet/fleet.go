@@ -14,6 +14,12 @@
 //     silently shifting the send schedule.
 //   - ModeClosed sends as fast as the round trip allows and measures
 //     capacity: how many predictions per second the server sustains.
+//
+// A run loads running servers (Config.Addrs) or an in-process rig of
+// Config.Nodes servers, one by default. Every UE routes over a
+// consistent-hash ring of its targets — a single server is a one-member
+// ring — and follows redirects when its picture of ownership is stale;
+// an in-process cluster can also play a fault schedule (Config.Faults).
 package fleet
 
 import (
@@ -74,35 +80,22 @@ func ParseMode(s string) (Mode, error) {
 
 // Config describes one fleet run.
 type Config struct {
-	// Addr is the Prognos server to load. Empty starts an in-process
-	// server (with Server options) on a loopback port for the run —
-	// the self-contained shape `make loadtest` uses.
-	Addr string
-	// Addrs points the fleet at an external cluster: the full member
-	// list, in any order (the ring dedups and sorts). Each UE computes
-	// its token's candidate order over the same consistent-hash ring the
-	// servers use and dials the owner first, with the rest as fallbacks.
-	// A single-element list degenerates to Addr. Mutually exclusive with
-	// Addr, ClusterNodes and Chaos.
+	// Addrs points the fleet at running servers, in any order: one address
+	// is a single server, several are the full member list of an external
+	// cluster. Empty serves the run from an in-process rig of Nodes
+	// servers on loopback ports instead — the self-contained shape `make
+	// loadtest` uses. Either way each UE routes over a consistent-hash ring
+	// of its targets, the same ring the servers use, dialing its token's
+	// owner first with the rest as fallbacks; a single server is a
+	// one-member ring.
 	Addrs []string
-	// ClusterNodes > 1 starts an in-process cluster of that many nodes
-	// (each with Server options plus its ring wiring) instead of the
-	// single self-serve server. Mutually exclusive with Addr/Addrs/Chaos.
-	ClusterNodes int
-	// RollingRestart, in ClusterNodes mode, restarts every node once
-	// during the load phase — drain-to-cluster, close, rebind, serve —
-	// staggered evenly across the run. The acceptance bar is the same as
-	// chaos: zero lost samples.
-	RollingRestart bool
-	// NodeKill, in ClusterNodes mode, hard-crashes node 0 halfway through
-	// the load window — listener closed, every connection RST, no drain —
-	// and revives it a quarter-window later with no local state. Survival
-	// rests entirely on the async replication layer: the failure detector
-	// confirms the node down, successors promote its sessions from their
-	// replica tables, and anti-entropy re-warms the revived node. Defaults
-	// Server.ReplicationInterval to 100ms when unset. Mutually exclusive
-	// with RollingRestart (both workloads steer the same nodes).
-	NodeKill bool
+	// Nodes is the in-process rig's node count (default 1): one node is a
+	// plain server with Server options, more start a cluster whose nodes
+	// carry Server options plus their ring wiring. Nodes > 1 excludes Addrs.
+	Nodes int
+	// Faults is the fault schedule played against the rig's nodes under
+	// load (default NoFaults). A schedule needs Nodes > 1.
+	Faults Fault
 	// UEs is the fleet size (default 8).
 	UEs int
 	// Duration is how long each UE streams (default 10s).
@@ -159,12 +152,12 @@ type Config struct {
 	// carries the ping-pong comparison. Nil keeps generation unchanged.
 	Adaptive *ran.AdaptiveConfig
 	// Chaos, when set, interposes a fault-injecting proxy (internal/chaos)
-	// between the fleet and the server: UEs dial the proxy, the proxy
-	// forwards to the real server through seeded per-connection fault
-	// plans. Self-serve runs default the server's ResumeGrace to 5s so
-	// cut sessions resume instead of erroring.
+	// between the fleet and its single target: UEs dial the proxy, the
+	// proxy forwards to the real server through seeded per-connection
+	// fault plans. In-process runs default the server's ResumeGrace to 5s
+	// so cut sessions resume instead of erroring.
 	Chaos *chaos.Config
-	// Server configures the in-process server when Addr is empty.
+	// Server configures every in-process node (runs without Addrs).
 	Server server.Options
 }
 
@@ -188,22 +181,19 @@ func (c Config) withDefaults() Config {
 	if c.ClosedWindow <= 0 {
 		c.ClosedWindow = 1
 	}
-	if c.Chaos != nil && c.Addr == "" && c.Server.ResumeGrace == 0 {
-		c.Server.ResumeGrace = 5 * time.Second
+	if c.Nodes <= 0 {
+		c.Nodes = 1
 	}
-	if len(c.Addrs) == 1 && c.Addr == "" {
-		c.Addr, c.Addrs = c.Addrs[0], nil
-	}
-	// A cluster rig needs a resume grace window: migration parks shipped
-	// sessions on the successor, and a restart is survivable only if the
-	// cut sessions can resume.
-	if c.ClusterNodes > 1 && c.Server.ResumeGrace == 0 {
+	// Chaos cuts and cluster faults are survivable only if the cut
+	// sessions can resume: chaos parks them on the one server, migration
+	// parks shipped sessions on the successor.
+	if (c.Chaos != nil || c.Nodes > 1) && c.Server.ResumeGrace == 0 {
 		c.Server.ResumeGrace = 5 * time.Second
 	}
 	// A node-kill run is only survivable with replication streaming warm
 	// state ahead of the crash; 100ms keeps the staleness bound (two
 	// intervals + ship latency) well under the default resume grace.
-	if c.NodeKill && c.Server.ReplicationInterval == 0 {
+	if c.Faults == NodeKill && c.Server.ReplicationInterval == 0 {
 		c.Server.ReplicationInterval = 100 * time.Millisecond
 	}
 	return c
@@ -304,7 +294,7 @@ type Report struct {
 	MigratedSessions int64    `json:"migrated_sessions,omitempty"`
 	MigrationBytes   int64    `json:"migration_bytes,omitempty"`
 	WarmResumeRatio  float64  `json:"warm_resume_ratio,omitempty"`
-	// Crash-fault fields (Config.NodeKill). NodeKills counts hard node
+	// Crash-fault fields (the NodeKill schedule). NodeKills counts hard node
 	// crashes the run inflicted; Failovers the sessions peers promoted from
 	// replicated state; ReplicationPushes/ReplicationBytes the async
 	// replication passes and payload the cluster shipped (server-side,
@@ -324,8 +314,9 @@ type Report struct {
 	// loop it is measured from each sample's scheduled send time; in
 	// closed loop it is the blocking round-trip time.
 	Latency metrics.LatencySnapshot `json:"latency"`
-	// Server is the served instance's own snapshot (always present for
-	// self-serve runs; best-effort via the stats endpoint otherwise).
+	// Server is the server side's own snapshot: a single server's whole, a
+	// cluster's counters summed (always present for in-process runs;
+	// best-effort via each member's stats endpoint otherwise).
 	Server *metrics.ServerSnapshot `json:"server,omitempty"`
 	// OpsMetrics is the end-of-run /metrics scrape of the ops plane
 	// (Config.OpsAddr), keyed by exposition sample name. Healthy runs
@@ -394,71 +385,40 @@ func Run(cfg Config) (*Report, error) {
 	if !carrier.Has(cfg.Arch) {
 		return nil, fmt.Errorf("fleet: carrier %s does not offer %s", carrier.Name, cfg.Arch)
 	}
-	clustered := cfg.ClusterNodes > 1 || len(cfg.Addrs) > 1
-	if clustered && (cfg.Addr != "" || cfg.Chaos != nil) {
-		return nil, fmt.Errorf("fleet: cluster mode is mutually exclusive with Addr and Chaos")
+	if len(cfg.Addrs) > 0 && cfg.Nodes > 1 {
+		return nil, fmt.Errorf("fleet: set Addrs or Nodes > 1, not both")
 	}
-	if cfg.ClusterNodes > 1 && len(cfg.Addrs) > 1 {
-		return nil, fmt.Errorf("fleet: set ClusterNodes or Addrs, not both")
+	if cfg.Chaos != nil && (len(cfg.Addrs) > 1 || cfg.Nodes > 1) {
+		return nil, fmt.Errorf("fleet: Chaos needs a single target")
 	}
-	if cfg.RollingRestart && cfg.ClusterNodes <= 1 {
-		return nil, fmt.Errorf("fleet: RollingRestart requires an in-process cluster (ClusterNodes > 1)")
-	}
-	if cfg.NodeKill && cfg.ClusterNodes <= 1 {
-		return nil, fmt.Errorf("fleet: NodeKill requires an in-process cluster (ClusterNodes > 1)")
-	}
-	if cfg.NodeKill && cfg.RollingRestart {
-		return nil, fmt.Errorf("fleet: NodeKill and RollingRestart are mutually exclusive")
+	if cfg.Faults != NoFaults && cfg.Nodes <= 1 {
+		return nil, fmt.Errorf("fleet: Faults need an in-process cluster (Nodes > 1)")
 	}
 
-	addr := cfg.Addr
-	var (
-		selfServe  *server.Server
-		rig        *clusterRig
-		clientRing *cluster.Ring
-	)
-	switch {
-	case cfg.ClusterNodes > 1:
-		rig, err = newClusterRig(cfg.ClusterNodes, cfg.Server)
+	members := cfg.Addrs
+	var local *rig
+	if len(members) == 0 {
+		local, err = newRig(cfg.Nodes, cfg.Server)
 		if err != nil {
 			return nil, err
 		}
-		defer rig.close()
-		clientRing = rig.ring
-	case len(cfg.Addrs) > 1:
-		// External cluster: the UEs route over their own ring built from
-		// the same member list the servers were started with; redirects
-		// correct any residual disagreement.
-		clientRing, err = cluster.New(cfg.Addrs, cluster.NewRingPolicy())
-		if err != nil {
-			return nil, fmt.Errorf("fleet: cluster ring: %w", err)
-		}
-	case addr == "":
-		selfServe, err = server.ListenWith("127.0.0.1:0", cfg.Server)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: self-serve: %w", err)
-		}
-		defer selfServe.Close()
-		addr = selfServe.Addr()
+		defer local.close()
+		members = local.addrs
 	}
-	// A self-serve run with an OpsAddr gets its own ops plane over the
-	// in-process counters — the single server's, or the cluster-wide
-	// aggregate — exactly as prognosd -ops-addr would serve them; against
-	// an external server the configured address is assumed to be that
-	// daemon's already-running plane.
+	// An in-process run with an OpsAddr gets its own ops plane over the
+	// rig's counters, exactly as prognosd -ops-addr would serve them;
+	// against external servers the configured address is assumed to be
+	// that daemon's already-running plane.
 	scrapeAddr := cfg.OpsAddr
-	if cfg.OpsAddr != "" && (selfServe != nil || rig != nil) {
+	if cfg.OpsAddr != "" && local != nil {
 		reg := obs.NewRegistry()
-		ready := func() bool { return true }
-		if rig != nil {
-			obs.RegisterServerMetrics(reg, rig.aggregate)
-		} else {
-			obs.RegisterServerMetrics(reg, selfServe.Stats)
-			ready = func() bool { return !selfServe.Draining() }
-		}
+		obs.RegisterServerMetrics(reg, func() metrics.ServerSnapshot {
+			snaps, _ := local.report()
+			return aggregate(snaps)
+		})
 		plane, err := obs.Listen(cfg.OpsAddr, obs.Config{
 			Registry: reg,
-			Ready:    ready,
+			Ready:    local.ready,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: ops plane: %w", err)
@@ -468,15 +428,19 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// With chaos enabled, UEs dial the fault-injecting proxy; stats still
 	// come from the server directly.
-	loadAddr := addr
+	route := members
 	var proxy *chaos.Proxy
 	if cfg.Chaos != nil {
-		proxy, err = chaos.NewProxy("127.0.0.1:0", addr, *cfg.Chaos)
+		proxy, err = chaos.NewProxy("127.0.0.1:0", members[0], *cfg.Chaos)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: chaos proxy: %w", err)
 		}
 		defer proxy.Close()
-		loadAddr = proxy.Addr()
+		route = []string{proxy.Addr()}
+	}
+	ring, err := cluster.New(route, nil)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: ring: %w", err)
 	}
 
 	// Phase 1: generate every UE's drive up front (bounded parallelism),
@@ -550,56 +514,21 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	loadStart := time.Now()
-	// The rolling-restart workload: under full load, drain-restart every
-	// rig node once, staggered evenly across the run (node i restarts at
-	// the (i+1)/(n+1) mark, so the first and last restart both land well
-	// inside the load window).
-	var restarts atomic.Int64
-	restartDone := make(chan struct{})
-	if cfg.RollingRestart && rig != nil {
-		go func() {
-			defer close(restartDone)
-			n := len(rig.nodes)
-			for i := 0; i < n; i++ {
-				due := loadStart.Add(cfg.Duration * time.Duration(i+1) / time.Duration(n+1))
-				if d := time.Until(due); d > 0 {
-					time.Sleep(d)
-				}
-				if err := rig.restart(i, 2*time.Second); err != nil {
-					addErr(fmt.Errorf("rolling restart node %d: %w", i, err))
-				}
-				restarts.Add(1)
-			}
-		}()
-	} else {
-		close(restartDone)
-	}
-	// The node-kill workload: crash node 0 cold at the midpoint of the load
-	// window, leave it dead for a quarter window (long enough for the
-	// failure detector to confirm it and every affected UE to fail over),
-	// then revive it empty so anti-entropy has load time left to re-warm it.
-	var kills atomic.Int64
-	killDone := make(chan struct{})
-	if cfg.NodeKill && rig != nil {
-		go func() {
-			defer close(killDone)
-			due := loadStart.Add(cfg.Duration / 2)
-			if d := time.Until(due); d > 0 {
+	// One goroutine plays the fault schedule against the rig under load,
+	// timing each step from loadStart (Faults needs Nodes > 1, so only a
+	// rig run has steps).
+	faultsDone := make(chan struct{})
+	go func() {
+		defer close(faultsDone)
+		for _, s := range cfg.Faults.schedule(cfg.Nodes, cfg.Duration) {
+			if d := time.Until(loadStart.Add(s.at)); d > 0 {
 				time.Sleep(d)
 			}
-			rig.kill(0)
-			kills.Add(1)
-			due = due.Add(cfg.Duration / 4)
-			if d := time.Until(due); d > 0 {
-				time.Sleep(d)
+			if err := local.nodes[s.node].apply(s.op); err != nil {
+				addErr(fmt.Errorf("node %d %s: %w", s.node, s.op, err))
 			}
-			if err := rig.revive(0); err != nil {
-				addErr(fmt.Errorf("reviving killed node 0: %w", err))
-			}
-		}()
-	} else {
-		close(killDone)
-	}
+		}
+	}()
 	for i := 0; i < cfg.UEs; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -610,16 +539,10 @@ func Run(cfg Config) (*Report, error) {
 			ue := &ueRunner{
 				id:     i,
 				cfg:    cfg,
-				addr:   loadAddr,
+				route:  ring.Candidates(cfg.ueToken(i)),
 				replay: replay{log: logs[i]},
 				hist:   &hist,
 				tot:    &tot,
-			}
-			if clientRing != nil {
-				// Cluster routing: dial the token's ring owner first; the
-				// remaining candidates are the recovery fallbacks, in the
-				// same order a drain would migrate the session.
-				ue.route = clientRing.Candidates(cfg.ueToken(i))
 			}
 			if err := ue.run(); err != nil {
 				recordErr(fmt.Errorf("ue %d: %w", i, err))
@@ -628,8 +551,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	wg.Wait()
 	loadWall := time.Since(loadStart)
-	<-restartDone
-	<-killDone
+	<-faultsDone
 
 	rep := &Report{
 		UEs:        cfg.UEs,
@@ -674,54 +596,40 @@ func Run(cfg Config) (*Report, error) {
 	if secs := loadWall.Seconds(); secs > 0 {
 		rep.PredictionsPerSec = float64(rep.Predictions) / secs
 	}
-	if clientRing != nil {
-		rep.Addrs = clientRing.Members()
-		rep.ClusterSize = clientRing.Size()
-		rep.Redirects = tot.redirects.Load()
-		rep.RollingRestarts = int(restarts.Load())
-		rep.NodeKills = int(kills.Load())
-	}
 	if denom := tot.resumed.Load() + tot.cold.Load(); denom > 0 {
 		rep.WarmResumeRatio = float64(tot.resumed.Load()) / float64(denom)
 	}
-	switch {
-	case rig != nil:
-		agg := rig.aggregate()
+	var snaps []metrics.ServerSnapshot
+	var rows []NodeReport
+	if local != nil {
+		snaps, rows = local.report()
+	} else {
+		// Best-effort: a member mid-restart just drops out of this pass.
+		for _, a := range members {
+			if snap, err := server.FetchStats(a); err == nil {
+				snaps = append(snaps, snap)
+				rows = append(rows, snapshotReport(a, snap))
+			}
+		}
+	}
+	agg := aggregate(snaps)
+	if len(snaps) > 0 {
 		rep.Server = &agg
+	}
+	if len(members) > 1 {
+		rep.Addrs = ring.Members()
+		rep.ClusterSize = ring.Size()
+		rep.Redirects = tot.redirects.Load()
+		rep.PerNode = rows
+		for _, r := range rows {
+			rep.RollingRestarts += r.Restarts
+			rep.NodeKills += r.Kills
+		}
 		rep.MigratedSessions = agg.MigratedOut
 		rep.MigrationBytes = agg.MigrationBytesOut
 		rep.Failovers = agg.Failovers
 		rep.ReplicationPushes = agg.ReplicationPushes
 		rep.ReplicationBytes = agg.ReplicationBytesOut
-		for _, n := range rig.nodes {
-			rep.PerNode = append(rep.PerNode, nodeReport(n))
-		}
-	case clientRing != nil:
-		// External cluster: per-node stats are best-effort — a member
-		// mid-restart just drops out of this pass's report.
-		var agg metrics.ServerSnapshot
-		polled := false
-		for _, a := range clientRing.Members() {
-			snap, err := server.FetchStats(a)
-			if err != nil {
-				continue
-			}
-			polled = true
-			agg = sumSnapshots(agg, snap)
-			rep.PerNode = append(rep.PerNode, snapshotReport(a, snap))
-		}
-		if polled {
-			rep.Server = &agg
-			rep.MigratedSessions = agg.MigratedOut
-			rep.MigrationBytes = agg.MigrationBytesOut
-		}
-	case selfServe != nil:
-		snap := selfServe.Stats()
-		rep.Server = &snap
-	default:
-		if snap, err := server.FetchStats(addr); err == nil {
-			rep.Server = &snap
-		}
 	}
 	if scrapeAddr != "" {
 		m, err := obs.Scrape(scrapeAddr)
@@ -735,12 +643,11 @@ func Run(cfg Config) (*Report, error) {
 
 // ueRunner is one synthetic UE's session state.
 type ueRunner struct {
-	id   int
-	cfg  Config
-	addr string
-	// route, in cluster mode, is the token's full candidate list in ring
-	// order: route[0] is the owner the UE dials, the rest are recovery
-	// fallbacks. Empty means single-target (addr).
+	id  int
+	cfg Config
+	// route is the token's candidate list in ring order: route[0] is the
+	// owner the UE dials, the rest are the recovery fallbacks (none for a
+	// single target), in the same order a drain would migrate the session.
 	route  []string
 	replay replay
 	hist   *metrics.Histogram
@@ -760,13 +667,7 @@ func (u *ueRunner) run() error {
 	// writer/reader goroutine split requires auto-flush (see
 	// ClientOptions.NoAutoFlush).
 	batched := u.cfg.Mode == ModeClosed && u.cfg.ClosedWindow > 1
-	addr := u.addr
-	var fallbacks []string
-	if len(u.route) > 0 {
-		addr = u.route[0]
-		fallbacks = u.route[1:]
-	}
-	client, err := server.DialResilient(addr, server.ResilientOptions{
+	client, err := server.DialResilient(u.route[0], server.ResilientOptions{
 		Hello: server.Hello{
 			Carrier:      u.cfg.Carrier,
 			Arch:         u.cfg.Arch,
@@ -779,7 +680,7 @@ func (u *ueRunner) run() error {
 		},
 		Retry:     retry,
 		Seed:      u.cfg.ueSeed(u.id),
-		Fallbacks: fallbacks,
+		Fallbacks: u.route[1:],
 	})
 	if err != nil {
 		return err
@@ -818,30 +719,14 @@ func (u *ueRunner) sendControl(client *server.ResilientClient, reports []cellula
 	return nil
 }
 
-// runClosed measures capacity. With ClosedWindow 1 it is the strict
-// blocking round trip, back to back. With a window W > 1 each iteration
-// pipelines a burst of W samples and then reads the W predictions back;
-// per-sample latency is still measured from that sample's own send time,
-// so queueing behind the rest of the burst shows up honestly.
+// runClosed measures capacity. Each iteration pipelines a burst of
+// ClosedWindow samples and then reads their predictions back; per-sample
+// latency is measured from that sample's own send time, so queueing
+// behind the rest of the burst shows up honestly. Window 1 is the strict
+// blocking round trip, back to back: the client auto-flushes each send.
 func (u *ueRunner) runClosed(client *server.ResilientClient) error {
 	deadline := time.Now().Add(u.cfg.Duration)
 	win := u.cfg.ClosedWindow
-	if win <= 1 {
-		for time.Now().Before(deadline) {
-			smp, reports, hos, off := u.replay.step()
-			if err := u.sendControl(client, reports, hos, off); err != nil {
-				return err
-			}
-			t0 := time.Now()
-			if _, err := client.SendSample(smp); err != nil {
-				return err
-			}
-			u.hist.Observe(time.Since(t0))
-			u.tot.samples.Add(1)
-			u.tot.predictions.Add(1)
-		}
-		return nil
-	}
 	t0s := make([]time.Time, 0, win)
 	for time.Now().Before(deadline) {
 		t0s = t0s[:0]

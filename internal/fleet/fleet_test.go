@@ -115,7 +115,7 @@ func TestFleetClosedLoopAgainstExternalServer(t *testing.T) {
 	defer srv.Close()
 
 	rep, err := Run(Config{
-		Addr:     srv.Addr(),
+		Addrs:    []string{srv.Addr()},
 		UEs:      3,
 		Duration: 300 * time.Millisecond,
 		Mode:     ModeClosed,
@@ -237,5 +237,51 @@ func TestOpsScrapeMatchesReport(t *testing.T) {
 	// Each answered sample observes one request latency.
 	if got := rep.OpsMetrics["prognos_request_latency_seconds_count"]; got != float64(rep.Server.Samples) {
 		t.Errorf("latency histogram count %v != samples %d", got, rep.Server.Samples)
+	}
+}
+
+// TestSingleNodeReportOmitsClusterKeys pins the single-server report
+// shape: a one-node rig and a single external server both route over a
+// one-member ring, but their reports carry no cluster keys, and the
+// server snapshot keeps its latency histogram.
+func TestSingleNodeReportOmitsClusterKeys(t *testing.T) {
+	srv, err := server.ListenWith("127.0.0.1:0", server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for name, cfg := range map[string]Config{
+		"rig":      {UEs: 1, Duration: 200 * time.Millisecond, Seed: 2},
+		"external": {UEs: 1, Duration: 200 * time.Millisecond, Seed: 2, Addrs: []string{srv.Addr()}},
+	} {
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// A summed snapshot would carry an empty histogram. The server
+		// counts a sample on receipt but observes its latency only after
+		// flushing the response, and the report is read as soon as the UE
+		// has its last response, so each session may still owe the
+		// histogram one observation.
+		if rep.Server == nil {
+			t.Fatalf("%s: report lost its server snapshot", name)
+		}
+		if c := rep.Server.Latency.Count; c == 0 || c > rep.Server.Samples || c < rep.Server.Samples-rep.Server.Sessions {
+			t.Errorf("%s: server snapshot lost its latency histogram: %+v", name, rep.Server)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(b, &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"addrs", "cluster_size", "per_node", "redirects"} {
+			if _, ok := keys[k]; ok {
+				t.Errorf("%s: single-node report carries %q", name, k)
+			}
+		}
 	}
 }
