@@ -148,7 +148,7 @@ holoop:
 # under "ho_adaptive", so the ping-pong reduction is as well.
 # `date -u` pins the filename to UTC so a nightly run names the same file
 # no matter which timezone the runner happens to be in.
-BENCH_PATTERN ?= ^(BenchmarkSimFreewayKm|BenchmarkPrognosReplay|BenchmarkPatternMatch)$$
+BENCH_PATTERN ?= ^(BenchmarkSimFreewayKm|BenchmarkPrognosReplay|BenchmarkPatternMatch|BenchmarkOnSample|BenchmarkPredict)$$
 FLEET_REPORT ?= /tmp/benchjson-fleet.json
 FLEET_CLOSED_REPORT ?= /tmp/benchjson-fleet-closed.json
 FLEET_CLUSTER_REPORT ?= /tmp/benchjson-fleet-cluster.json

@@ -137,25 +137,82 @@ func BenchmarkSimFreewayKm(b *testing.B) {
 	}
 }
 
+// benchPrognos builds the OpX NSA Prognos the prediction benches replay
+// through.
+func benchPrognos(b *testing.B) *core.Prognos {
+	b.Helper()
+	prog, err := core.New(core.Config{
+		EventConfigs:       ran.EventConfigsFor("OpX", cellular.ArchNSA),
+		Arch:               cellular.ArchNSA,
+		UseReportPredictor: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog
+}
+
 // BenchmarkPrognosReplay measures the full Prognos pipeline per radio
 // sample (report predictor + pattern matching at 20 Hz).
 func BenchmarkPrognosReplay(b *testing.B) {
 	log := benchWalk(b, 51)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog, err := core.New(core.Config{
-			EventConfigs:       ran.EventConfigsFor("OpX", cellular.ArchNSA),
-			Arch:               cellular.ArchNSA,
-			UseReportPredictor: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ticks := core.Replay(prog, log)
+		ticks := core.Replay(benchPrognos(b), log)
 		ev := core.EvaluateEvents(ticks, log.Handovers, time.Second)
 		b.ReportMetric(ev.F1(), "F1")
 	}
 	b.ReportMetric(float64(len(log.Samples)), "samples/op")
+}
+
+// benchPrediction keeps BenchmarkPredict's result live.
+var benchPrediction core.Prediction
+
+// BenchmarkOnSample measures the per-sample stage alone: one op is one
+// OnSample (the report predictor's smoothing, forecaster history and TTT
+// tracking) over the replayed walk, cycled. OnSample reads no reports or
+// handovers, so none are delivered.
+func BenchmarkOnSample(b *testing.B) {
+	log := benchWalk(b, 51)
+	prog := benchPrognos(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prog.OnSample(log.Samples[i%len(log.Samples)])
+	}
+}
+
+// BenchmarkPredict measures the per-tick prediction stage alone: one op is
+// one Predict (report-predictor forecast plus pattern matching) at the next
+// tick of the replayed walk, with a fresh instance per pass. The tick's
+// reports, handovers and sample are delivered first, outside the measured
+// time: ns/op is the Predict time on the monotonic clock (plus one clock
+// read), while allocs/op counts the whole tick.
+func BenchmarkPredict(b *testing.B) {
+	log := benchWalk(b, 51)
+	var prog *core.Prognos
+	var ri, hi int
+	var predict time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(log.Samples)
+		if j == 0 {
+			prog, ri, hi = benchPrognos(b), 0, 0
+		}
+		s := log.Samples[j]
+		for ri < len(log.Reports) && log.Reports[ri].Time <= s.Time {
+			prog.OnReport(log.Reports[ri])
+			ri++
+		}
+		for hi < len(log.Handovers) && log.Handovers[hi].Time <= s.Time {
+			prog.OnHandover(log.Handovers[hi])
+			hi++
+		}
+		prog.OnSample(s)
+		t0 := time.Now()
+		benchPrediction = prog.Predict()
+		predict += time.Since(t0)
+	}
+	b.ReportMetric(float64(predict.Nanoseconds())/float64(b.N), "ns/op")
 }
 
 // BenchmarkGBCTraining measures baseline training cost.

@@ -149,6 +149,18 @@ func TestPrognosRequiresConfigs(t *testing.T) {
 	}
 }
 
+// TestPrognosRejectsNegativeSmootherWindow: a negative smoother window is a
+// configuration error New reports, not a panic inside the report
+// predictor; 0 still selects the default.
+func TestPrognosRejectsNegativeSmootherWindow(t *testing.T) {
+	if _, err := New(Config{EventConfigs: ckptConfigs(), SmootherWindow: -3}); err == nil {
+		t.Fatal("smoother window -3 accepted")
+	}
+	if _, err := New(Config{EventConfigs: ckptConfigs(), SmootherWindow: 0}); err != nil {
+		t.Fatalf("default smoother window: %v", err)
+	}
+}
+
 func TestKeyEnrichment(t *testing.T) {
 	mr := cellular.MeasurementReport{Event: cellular.EventA3, Tech: cellular.TechNR, ServingPCI: 600, NeighborPCI: 601}
 	if keyFor(mr) != "NR-A3s" {
@@ -250,8 +262,8 @@ func TestLeadTimeMeasurement(t *testing.T) {
 func TestReportPredictorTTTCases(t *testing.T) {
 	cfg := cellular.EventConfig{Type: cellular.EventA2, Tech: cellular.TechLTE, Threshold1: -100, TTT: 200 * time.Millisecond}
 	rp := NewReportPredictor([]cellular.EventConfig{cfg}, 4, 20, 20, 50*time.Millisecond)
-	mk := func(rsrp float64, at time.Duration) trace.Sample {
-		return trace.Sample{Time: at, ServingLTE: trace.CellObs{Valid: true, RSRP: rsrp, PCI: 1}}
+	mk := func(rsrp float64, at time.Duration) *trace.Sample {
+		return &trace.Sample{Time: at, ServingLTE: trace.CellObs{Valid: true, RSRP: rsrp, PCI: 1}}
 	}
 	// Healthy signal: nothing forecast.
 	for i := 0; i < 30; i++ {

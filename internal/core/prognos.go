@@ -18,7 +18,8 @@ type Config struct {
 	// prediction, and PredictionWindow is how far ahead each prediction
 	// claims (default 1 s each, the paper's §7.3 setting).
 	HistoryWindow, PredictionWindow time.Duration
-	// SmootherWindow is the triangular-kernel length in samples (default 8).
+	// SmootherWindow is the triangular-kernel length in samples (0 selects
+	// the default 8; a negative window is an error).
 	SmootherWindow int
 	// Learner tunes the decision learner.
 	Learner LearnerConfig
@@ -64,11 +65,11 @@ type Prognos struct {
 	// recent radio picture, so stale reports are not decision evidence).
 	phaseKeys []string
 	keyTimes  []time.Duration
-	// nrAttached / lteValid track the UE state for sanity checks.
-	nrAttached bool
-	lteValid   bool
-	lastSample trace.Sample
-	stepDur    time.Duration
+	// nrAttached tracks the UE state for sanity checks; servNR and neighNR
+	// are the latest NR observations, whose PCIs enrich forecast NR-A3 keys.
+	nrAttached      bool
+	servNR, neighNR trace.CellObs
+	stepDur         time.Duration
 
 	// now tracks the latest sample time; lastKeyAt the arrival of the most
 	// recent phase key. An observed-anchored match is only considered
@@ -106,6 +107,9 @@ func New(cfg Config) (*Prognos, error) {
 	}
 	if cfg.PredictionWindow == 0 {
 		cfg.PredictionWindow = time.Second
+	}
+	if cfg.SmootherWindow < 0 {
+		return nil, fmt.Errorf("core: smoother window must be >= 0 (0 selects the default), got %d", cfg.SmootherWindow)
 	}
 	if cfg.SmootherWindow == 0 {
 		cfg.SmootherWindow = 8
@@ -160,10 +164,9 @@ func (p *Prognos) SetEventConfigs(configs []cellular.EventConfig) {
 // OnSample feeds one 20 Hz cross-layer sample (signal strengths and
 // attachment state).
 func (p *Prognos) OnSample(s trace.Sample) {
-	p.report.Observe(s)
+	p.report.Observe(&s)
 	p.nrAttached = s.ServingNR.Valid
-	p.lteValid = s.ServingLTE.Valid
-	p.lastSample = s
+	p.servNR, p.neighNR = s.ServingNR, s.NeighborNR
 	p.now = s.Time
 }
 
@@ -397,9 +400,8 @@ func (p *Prognos) predictedKey(pr PredictedReport) string {
 	}
 	k := v.base
 	if pr.Tech == cellular.TechNR && pr.Event == cellular.EventA3 {
-		s, n := p.lastSample.ServingNR, p.lastSample.NeighborNR
-		if s.Valid && n.Valid {
-			if pciSameGNB(s.PCI, n.PCI) {
+		if p.servNR.Valid && p.neighNR.Valid {
+			if pciSameGNB(p.servNR.PCI, p.neighNR.PCI) {
 				k = v.s
 			} else {
 				k = v.d

@@ -19,7 +19,7 @@ type signalTrack struct {
 	last     float64
 }
 
-func newSignalTrack(smoothWin, histWin int) *signalTrack {
+func newSignalTrack(smoothWin, histWin int) signalTrack {
 	sm, err := radio.NewTriangularSmoother(smoothWin)
 	if err != nil {
 		panic("core: " + err.Error())
@@ -28,7 +28,7 @@ func newSignalTrack(smoothWin, histWin int) *signalTrack {
 	if err != nil {
 		panic("core: " + err.Error())
 	}
-	return &signalTrack{smoother: sm, forecast: fc}
+	return signalTrack{smoother: sm, forecast: fc}
 }
 
 // push feeds one sample (valid=false resets the track, e.g. after the UE
@@ -46,18 +46,55 @@ func (t *signalTrack) push(v float64, valid bool) {
 	t.last = sm
 }
 
-// at extrapolates k steps ahead (k=0 returns the smoothed current value).
-func (t *signalTrack) at(k int) (float64, bool) {
-	if !t.valid {
-		return 0, false
+// trackView freezes one signal track for one pass over the event configs:
+// its validity, its smoothed value now and, once fitted, its forecast line.
+// A pass reads each track once, so each track is fitted at most once per
+// prediction however many configs and look-ahead steps read it.
+type trackView struct {
+	valid  bool
+	last   float64
+	fitted bool
+	line   radio.Line
+}
+
+// current freezes the track's present reading, enough for k = 0.
+func (t *signalTrack) current() trackView { return trackView{valid: t.valid, last: t.last} }
+
+// frozen freezes the track together with its fitted forecast line.
+func (t *signalTrack) frozen() trackView {
+	v := t.current()
+	v.line, v.fitted = t.forecast.Line()
+	return v
+}
+
+// at is the track's value k steps ahead: the smoothed value now for k = 0
+// or before the forecaster has a fit, the fitted line's forecast after.
+func (v *trackView) at(k int) float64 {
+	if k <= 0 || !v.fitted {
+		return v.last
 	}
-	if k <= 0 {
-		return t.last, true
+	return v.line.At(k)
+}
+
+// slope is the fitted slope per step (0 before the forecaster has a fit).
+func (v *trackView) slope() float64 { return v.line.B }
+
+// entering is the one evaluation of an event's entering condition: on the
+// frozen tracks k steps ahead (k = 0 reads the smoothed values now), with
+// the serving signal raised and the neighbour lowered by margin. An event
+// never enters without its serving track, nor without its neighbour unless
+// it is A1/A2, which read a missing neighbour as -200 dBm.
+func entering(cfg *cellular.EventConfig, serv, neigh *trackView, k int, margin float64) bool {
+	if !serv.valid {
+		return false
 	}
-	if !t.forecast.Ready() {
-		return t.last, true
+	nv := -200.0
+	if neigh.valid {
+		nv = neigh.at(k)
+	} else if cfg.Type != cellular.EventA1 && cfg.Type != cellular.EventA2 {
+		return false
 	}
-	return t.forecast.Forecast(k), true
+	return cfg.Entering(serv.at(k)+margin, nv-margin)
 }
 
 // PredictedReport is a measurement report the report predictor expects the
@@ -88,10 +125,8 @@ func (p PredictedReport) Key() string {
 type ReportPredictor struct {
 	configs []cellular.EventConfig
 
-	servLTE  *signalTrack
-	neighLTE *signalTrack
-	servNR   *signalTrack
-	neighNR  *signalTrack
+	// tracks are indexed servLTE, neighLTE, servNR, neighNR.
+	tracks [4]signalTrack
 
 	// heldSteps tracks, per config, how many consecutive samples the
 	// entering condition has held on the smoothed measurements.
@@ -125,9 +160,17 @@ const edgeDebounceTicks = 6
 // produce phantom crossings from fit noise.
 const minClosingRateDBPerStep = 0.008
 
+// Indices of ReportPredictor.tracks.
+const (
+	servLTE = iota
+	neighLTE
+	servNR
+	neighNR
+)
+
 // approachSignificant reports whether the fitted slopes actually drive the
 // event's condition toward triggering.
-func approachSignificant(cfg cellular.EventConfig, servSlope, neighSlope float64) bool {
+func approachSignificant(cfg *cellular.EventConfig, servSlope, neighSlope float64) bool {
 	switch cfg.Type {
 	case cellular.EventA1:
 		return servSlope >= minClosingRateDBPerStep
@@ -144,21 +187,39 @@ func approachSignificant(cfg cellular.EventConfig, servSlope, neighSlope float64
 	}
 }
 
+// enteringMonotone reports whether every track the event reads moves toward
+// its trigger or stands still, so that the forecast entering condition can
+// only turn from false to true as the look-ahead grows.
+func enteringMonotone(cfg *cellular.EventConfig, servSlope, neighSlope float64) bool {
+	switch cfg.Type {
+	case cellular.EventA1:
+		return servSlope >= 0
+	case cellular.EventA2:
+		return servSlope <= 0
+	case cellular.EventA4, cellular.EventB1:
+		return neighSlope >= 0
+	case cellular.EventA3, cellular.EventA5:
+		return servSlope <= 0 && neighSlope >= 0
+	default:
+		return false
+	}
+}
+
 // NewReportPredictor creates a report predictor. smoothWin/histWin are in
 // samples (the paper uses 1 s windows at 20 Hz); predSteps is the
 // prediction window length in samples.
 func NewReportPredictor(configs []cellular.EventConfig, smoothWin, histWin, predSteps int, stepDur time.Duration) *ReportPredictor {
-	return &ReportPredictor{
+	r := &ReportPredictor{
 		configs:         configs,
-		servLTE:         newSignalTrack(smoothWin, histWin),
-		neighLTE:        newSignalTrack(smoothWin, histWin),
-		servNR:          newSignalTrack(smoothWin, histWin),
-		neighNR:         newSignalTrack(smoothWin, histWin),
 		heldSteps:       make([]int, len(configs)),
 		edgeActive:      make([]int, len(configs)),
 		predictionSteps: predSteps,
 		stepDur:         stepDur,
 	}
+	for i := range r.tracks {
+		r.tracks[i] = newSignalTrack(smoothWin, histWin)
+	}
+	return r
 }
 
 // SetConfigs replaces the sniffed event configurations (after an RRC
@@ -171,13 +232,19 @@ func (r *ReportPredictor) SetConfigs(configs []cellular.EventConfig) {
 
 // Observe feeds one 20 Hz cross-layer sample and advances the per-event
 // condition trackers.
-func (r *ReportPredictor) Observe(s trace.Sample) {
-	r.servLTE.push(s.ServingLTE.RSRP, s.ServingLTE.Valid)
-	r.neighLTE.push(s.NeighborLTE.RSRP, s.NeighborLTE.Valid)
-	r.servNR.push(s.ServingNR.RSRP, s.ServingNR.Valid)
-	r.neighNR.push(s.NeighborNR.RSRP, s.NeighborNR.Valid)
-	for i, cfg := range r.configs {
-		if r.enteringNow(cfg) {
+func (r *ReportPredictor) Observe(s *trace.Sample) {
+	r.tracks[servLTE].push(s.ServingLTE.RSRP, s.ServingLTE.Valid)
+	r.tracks[neighLTE].push(s.NeighborLTE.RSRP, s.NeighborLTE.Valid)
+	r.tracks[servNR].push(s.ServingNR.RSRP, s.ServingNR.Valid)
+	r.tracks[neighNR].push(s.NeighborNR.RSRP, s.NeighborNR.Valid)
+	var v [4]trackView
+	for j := range v {
+		v[j] = r.tracks[j].current()
+	}
+	for i := range r.configs {
+		cfg := &r.configs[i]
+		si, ni := tracksFor(cfg)
+		if entering(cfg, &v[si], &v[ni], 0, 0) {
 			r.heldSteps[i]++
 		} else {
 			r.heldSteps[i] = 0
@@ -185,35 +252,18 @@ func (r *ReportPredictor) Observe(s trace.Sample) {
 	}
 }
 
-// enteringNow evaluates an event's entering condition on the current
-// smoothed measurements.
-func (r *ReportPredictor) enteringNow(cfg cellular.EventConfig) bool {
-	serv, neigh := r.tracksFor(cfg)
-	sv, sok := serv.at(0)
-	if !sok {
-		return false
-	}
-	nv, nok := neigh.at(0)
-	if !nok {
-		if cfg.Type != cellular.EventA1 && cfg.Type != cellular.EventA2 {
-			return false
-		}
-		nv = -200
-	}
-	return cfg.Entering(sv, nv)
-}
-
-// tracksFor returns the (serving, neighbour) tracks an event evaluates.
-func (r *ReportPredictor) tracksFor(cfg cellular.EventConfig) (*signalTrack, *signalTrack) {
+// tracksFor returns the indices of the (serving, neighbour) tracks an event
+// evaluates.
+func tracksFor(cfg *cellular.EventConfig) (serv, neigh int) {
 	if cfg.Type == cellular.EventB1 {
 		// Inter-RAT: LTE serving vs NR candidate (logged as the NR
 		// neighbour when no NR leg is attached).
-		return r.servLTE, r.neighNR
+		return servLTE, neighNR
 	}
 	if cfg.Tech == cellular.TechNR {
-		return r.servNR, r.neighNR
+		return servNR, neighNR
 	}
-	return r.servLTE, r.neighLTE
+	return servLTE, neighLTE
 }
 
 // trackState exports one signal track for checkpointing.
@@ -240,10 +290,10 @@ func (t *signalTrack) setState(st TrackState) {
 // truncated or zero-extended to the current event-configuration count.
 func (r *ReportPredictor) State() ReportState {
 	return ReportState{
-		ServLTE:    r.servLTE.state(),
-		NeighLTE:   r.neighLTE.state(),
-		ServNR:     r.servNR.state(),
-		NeighNR:    r.neighNR.state(),
+		ServLTE:    r.tracks[servLTE].state(),
+		NeighLTE:   r.tracks[neighLTE].state(),
+		ServNR:     r.tracks[servNR].state(),
+		NeighNR:    r.tracks[neighNR].state(),
 		Held:       append([]int(nil), r.heldSteps...),
 		EdgeActive: append([]int(nil), r.edgeActive...),
 	}
@@ -251,10 +301,10 @@ func (r *ReportPredictor) State() ReportState {
 
 // SetState restores a report-predictor checkpoint exported with State.
 func (r *ReportPredictor) SetState(st ReportState) {
-	r.servLTE.setState(st.ServLTE)
-	r.neighLTE.setState(st.NeighLTE)
-	r.servNR.setState(st.ServNR)
-	r.neighNR.setState(st.NeighNR)
+	r.tracks[servLTE].setState(st.ServLTE)
+	r.tracks[neighLTE].setState(st.NeighLTE)
+	r.tracks[servNR].setState(st.ServNR)
+	r.tracks[neighNR].setState(st.NeighNR)
 	r.heldSteps = make([]int, len(r.configs))
 	r.edgeActive = make([]int, len(r.configs))
 	copy(r.heldSteps, st.Held)
@@ -287,14 +337,19 @@ func (r *ReportPredictor) PredictInto(out []PredictedReport) []PredictedReport {
 		}
 		return st
 	}
-	for i, cfg := range r.configs {
-		serv, neigh := r.tracksFor(cfg)
-		needNeigh := cfg.Type != cellular.EventA1 && cfg.Type != cellular.EventA2
+	var v [4]trackView
+	for j := range v {
+		v[j] = r.tracks[j].frozen()
+	}
+	for i := range r.configs {
+		cfg := &r.configs[i]
+		si, ni := tracksFor(cfg)
+		serv, neigh := &v[si], &v[ni]
 		if !serv.valid && cfg.Type != cellular.EventB1 {
 			continue
 		}
 		need := tttSteps(cfg.TTT)
-		if r.enteringNow(cfg) {
+		if entering(cfg, serv, neigh, 0, 0) {
 			r.edgeActive[i] = 0
 			if r.heldSteps[i] >= need {
 				// Case 1: already reported. If the event re-reports
@@ -319,26 +374,28 @@ func (r *ReportPredictor) PredictInto(out []PredictedReport) []PredictedReport {
 		// Case 3: rising-edge search on the forecast signals; the trigger
 		// may complete up to one TTT beyond the window. The approach rate
 		// must be significant.
-		if !approachSignificant(cfg, serv.forecast.Slope(), neigh.forecast.Slope()) {
+		if !approachSignificant(cfg, serv.slope(), neigh.slope()) {
+			r.edgeActive[i] = 0
+			continue
+		}
+		horizon := r.predictionSteps + need
+		// A scan that cannot fire is skipped. When every track the event
+		// reads moves toward its trigger or stands still, the forecast
+		// condition can only turn on as k grows: each forecast is
+		// a + b*(x0+k) on one frozen line, which round-to-nearest keeps
+		// monotone in k with or without a fused multiply-add, and so are
+		// the margin and Entering's additions and comparisons. An unfitted
+		// track forecasts a constant, as does a missing neighbour of A1/A2.
+		// If the condition then fails at the horizon it fails at every k,
+		// and the scan would end unfired.
+		if enteringMonotone(cfg, serv.slope(), neigh.slope()) && !entering(cfg, serv, neigh, horizon, forecastMarginDB) {
 			r.edgeActive[i] = 0
 			continue
 		}
 		fired := false
 		held := 0
-		for k := 1; k <= r.predictionSteps+need; k++ {
-			sv, sok := serv.at(k)
-			nv, nok := neigh.at(k)
-			if !sok {
-				break
-			}
-			if needNeigh && !nok {
-				held = 0
-				continue
-			}
-			if !nok {
-				nv = -200
-			}
-			if !cfg.Entering(sv+forecastMarginDB, nv-forecastMarginDB) {
+		for k := 1; k <= horizon; k++ {
+			if !entering(cfg, serv, neigh, k, forecastMarginDB) {
 				held = 0
 				continue
 			}

@@ -12,12 +12,7 @@ import "fmt"
 // triangular-weighted mean, with weights rising linearly toward the most
 // recent sample: w_i = i+1 for i = 0..W-1 (oldest to newest).
 type TriangularSmoother struct {
-	window  int
-	buf     []float64
-	head    int
-	filled  int
-	weights []float64
-	wsum    float64
+	samples ring
 }
 
 // NewTriangularSmoother creates a smoother over the given window length.
@@ -26,79 +21,46 @@ func NewTriangularSmoother(window int) (*TriangularSmoother, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("radio: smoother window must be >= 1, got %d", window)
 	}
-	w := make([]float64, window)
-	sum := 0.0
-	for i := range w {
-		w[i] = float64(i + 1)
-		sum += w[i]
-	}
-	return &TriangularSmoother{window: window, buf: make([]float64, window), weights: w, wsum: sum}, nil
+	return &TriangularSmoother{samples: newRing(window)}, nil
 }
 
 // Push adds a sample and returns the current smoothed value. Until the
 // window fills, the weighted mean over the available samples is returned.
 func (s *TriangularSmoother) Push(v float64) float64 {
-	s.buf[s.head] = v
-	s.head = (s.head + 1) % s.window
-	if s.filled < s.window {
-		s.filled++
-	}
+	s.samples.push(v)
 	return s.Value()
 }
 
 // Value returns the smoothed value over the samples seen so far. With no
 // samples it returns 0.
 func (s *TriangularSmoother) Value() float64 {
-	if s.filled == 0 {
+	m := s.samples.filled
+	if m == 0 {
 		return 0
 	}
-	// Oldest sample index in the ring.
-	start := s.head - s.filled
-	if start < 0 {
-		start += s.window
+	// The weights 1..m sum exactly to m(m+1)/2.
+	var num, w float64
+	older, newer := s.samples.runs()
+	for _, run := range [2][]float64{older, newer} {
+		for _, v := range run {
+			w++
+			num += w * v
+		}
 	}
-	num, den := 0.0, 0.0
-	for i := 0; i < s.filled; i++ {
-		idx := (start + i) % s.window
-		w := float64(i + 1)
-		num += w * s.buf[idx]
-		den += w
-	}
-	return num / den
+	return num / float64(m*(m+1)/2)
 }
 
 // Reset clears the smoother state.
-func (s *TriangularSmoother) Reset() {
-	s.head = 0
-	s.filled = 0
-}
+func (s *TriangularSmoother) Reset() { s.samples.reset() }
 
 // Samples returns the retained window contents oldest-first, for state
 // checkpointing. An empty slice means the smoother is empty.
-func (s *TriangularSmoother) Samples() []float64 {
-	out := make([]float64, 0, s.filled)
-	start := s.head - s.filled
-	if start < 0 {
-		start += s.window
-	}
-	for i := 0; i < s.filled; i++ {
-		out = append(out, s.buf[(start+i)%s.window])
-	}
-	return out
-}
+func (s *TriangularSmoother) Samples() []float64 { return s.samples.contents() }
 
 // SetSamples replaces the smoother contents with vs (oldest-first), the
 // inverse of Samples. When vs is longer than the window only the newest
 // window-many samples are kept.
-func (s *TriangularSmoother) SetSamples(vs []float64) {
-	s.Reset()
-	if over := len(vs) - s.window; over > 0 {
-		vs = vs[over:]
-	}
-	for _, v := range vs {
-		s.Push(v)
-	}
-}
+func (s *TriangularSmoother) SetSamples(vs []float64) { s.samples.load(vs) }
 
 // Window returns the configured window length.
-func (s *TriangularSmoother) Window() int { return s.window }
+func (s *TriangularSmoother) Window() int { return len(s.samples.buf) }
