@@ -9,7 +9,7 @@ import (
 
 // TokenHash is the placement hash: wire.TokenHash, re-exported so callers
 // routing outside a Ring (tests, tooling) provably hash the way the ring
-// and the server's warm/parked shards do.
+// does.
 func TokenHash(token string) uint64 { return wire.TokenHash(token) }
 
 // Policy turns a token hash into a member-preference order. New calls
@@ -29,9 +29,8 @@ const vnodesPerMember = 64
 // mix64 is the splitmix64 finalizer. FNV-1a diffuses differences upward
 // from the changed byte, so strings differing only near their end (token
 // "...ue-7" vs "...ue-8", vnode "host#3" vs "host#4") get hashes that are
-// close in the high bits. The shard pickers never notice (h % 16 reads
-// well-mixed low bits) but ring positions order by the full 64-bit value,
-// which collapsed all of a member's vnodes onto one arc. The ring therefore
+// close in the high bits. Ring positions order by the full 64-bit value,
+// so without mixing all of a member's vnodes collapsed onto one arc. The ring therefore
 // runs TokenHash through this bijection first; placement remains a pure
 // function of wire.TokenHash.
 func mix64(h uint64) uint64 {

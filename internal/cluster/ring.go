@@ -1,10 +1,10 @@
 // Package cluster turns N prognosd processes into one serving fleet. It
 // owns three things: token placement (a consistent-hash ring over session
-// tokens, hashed with the exact wire.TokenHash the server's shards use),
-// the state-transfer client that ships parked sessions and warm snapshots
-// between nodes over the docs/PROTOCOL.md §State-transfer frames — for a
-// drain handoff or a crash-fault replica alike — and the failure detector
-// that decides when a replica may be served.
+// tokens, hashed with wire.TokenHash), the state-transfer client that ships
+// parked sessions and warm snapshots between nodes over the
+// docs/PROTOCOL.md §State-transfer frames — for a drain handoff or a
+// crash-fault replica alike — and the failure detector that decides when a
+// replica may be served.
 //
 // The membership model is deliberately static-per-run: every node and every
 // client is configured with the same member list and derives the same ring.

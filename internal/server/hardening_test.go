@@ -59,10 +59,15 @@ func (l *stubListener) Addr() net.Addr { return l.addr }
 // exponential backoff, and a successful accept must reset the schedule.
 func TestAcceptLoopBackoff(t *testing.T) {
 	transient := errors.New("accept: too many open files")
-	// 5 errors, a success, 2 more errors, then the listener blocks.
-	script := []error{transient, transient, transient, transient, transient, nil, transient, transient}
+	// 10 errors (the cap is reached twice), a success, 2 more errors,
+	// then the listener blocks.
+	var script []error
+	for i := 0; i < 10; i++ {
+		script = append(script, transient)
+	}
+	script = append(script, nil, transient, transient)
 	ln := newStubListener(script)
-	srv := newServer(ln, Options{AcceptBackoffMin: time.Millisecond, AcceptBackoffMax: 4 * time.Millisecond})
+	srv := newServer(ln, Options{})
 	var mu sync.Mutex
 	var slept []time.Duration
 	srv.sleep = func(d time.Duration) {
@@ -76,12 +81,18 @@ func TestAcceptLoopBackoff(t *testing.T) {
 	conn := <-ln.conns
 	defer conn.Close()
 
+	ms := time.Millisecond
+	want := []time.Duration{
+		5 * ms, 10 * ms, 20 * ms, 40 * ms, 80 * ms, 160 * ms, 320 * ms, 640 * ms, // doubling...
+		time.Second, time.Second, // ...capped
+		5 * ms, 10 * ms, // reset after the success
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		mu.Lock()
 		n := len(slept)
 		mu.Unlock()
-		if n >= 7 {
+		if n >= len(want) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -93,11 +104,6 @@ func TestAcceptLoopBackoff(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	want := []time.Duration{
-		1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, // doubling...
-		4 * time.Millisecond, 4 * time.Millisecond, // ...capped
-		1 * time.Millisecond, 2 * time.Millisecond, // reset after the success
-	}
 	for i, w := range want {
 		if i >= len(slept) {
 			t.Fatalf("only %d sleeps recorded, want %d", len(slept), len(want))

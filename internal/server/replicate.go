@@ -74,89 +74,34 @@ func (o *replicaOutbox) drain() map[string]cluster.SessionState {
 	return m
 }
 
-// replicaEntry is one peer session state held for failover.
-type replicaEntry struct {
-	st      cluster.SessionState
-	origin  string
-	expires time.Time
-}
-
-// replicaStore holds replicated peer session states, keyed by token,
-// latest push wins. Deliberately separate from the parked table: replicas
-// are passive (never resumed directly, never counted in the parked
-// gauge) until a confirmed owner failure promotes them.
-type replicaStore struct {
-	mu sync.Mutex
-	m  map[string]*replicaEntry
-}
-
-func newReplicaStore() *replicaStore {
-	return &replicaStore{m: make(map[string]*replicaEntry)}
-}
-
-// install stores st, refreshing expiry; it reports whether the token is
-// new to the table (the gauge increment signal).
-func (r *replicaStore) install(st cluster.SessionState, origin string, expires time.Time) (fresh bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, exists := r.m[st.Token]
-	r.m[st.Token] = &replicaEntry{st: st, origin: origin, expires: expires}
-	return !exists
-}
-
-// take removes and returns the replica for token, or nil.
-func (r *replicaStore) take(token string) *replicaEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.m[token]
-	if !ok {
-		return nil
-	}
-	delete(r.m, token)
-	return e
-}
-
-// sweep drops every replica past its expiry and returns how many fell.
-func (r *replicaStore) sweep(now time.Time) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for token, e := range r.m {
-		if now.After(e.expires) {
-			delete(r.m, token)
-			n++
-		}
-	}
-	return n
-}
-
-// size returns the current replica count (tests).
-func (r *replicaStore) size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.m)
+// replica is one peer session state held for failover in the replica
+// table: passive (never resumed directly, never counted in the parked
+// gauge) until a confirmed owner failure promotes it.
+type replica struct {
+	st     cluster.SessionState
+	origin string
 }
 
 // promoteReplica turns a held replica into parked state this node can
 // serve (parkState): the failover moment. It reports whether a replica
 // existed.
 func (s *Server) promoteReplica(token string) bool {
-	e := s.replicas.take(token)
-	if e == nil {
+	r, _, ok := s.replicas.take(token)
+	if !ok {
 		return false
 	}
 	s.stats.ReplicaDropped()
-	if s.parkState(e.st, true) != nil {
+	if s.parkState(r.st, true) != nil {
 		return false
 	}
 	s.stats.Failover()
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvFailover,
 		Session: token,
-		Carrier: e.st.Carrier,
-		Arch:    e.st.Arch.String(),
-		RespSeq: e.st.Seq,
-		Detail:  "replica of " + e.origin,
+		Carrier: r.st.Carrier,
+		Arch:    r.st.Arch.String(),
+		RespSeq: r.st.Seq,
+		Detail:  "replica of " + r.origin,
 	})
 	return true
 }
@@ -203,7 +148,7 @@ func (s *Server) startDetector() {
 	s.detector = cluster.NewDetector(cluster.DetectorConfig{
 		Peers:     peers,
 		Interval:  s.opts.HeartbeatInterval,
-		Threshold: s.opts.SuspectThreshold,
+		Threshold: suspectThreshold,
 		OnChange: func(peer string, down bool) {
 			if down {
 				s.stats.PeerSuspected()
@@ -238,21 +183,18 @@ func (s *Server) replicationLoop() {
 }
 
 // replicateOnce ships one replication pass: a state-transfer round with
-// the hold disposition over the drained live-session states plus a fresh
-// copy of every parked session. Best-effort per target — a failed push
-// costs one interval of staleness.
+// the hold disposition over the drained live-session states plus every
+// live parked session, as exported when it parked. Best-effort per target
+// — a failed push costs one interval of staleness.
 func (s *Server) replicateOnce() {
 	rest, err := s.opts.Cluster.Without(s.opts.NodeAddr)
 	if err != nil {
 		return // single-member ring: nowhere to replicate
 	}
 	states := s.replOut.drain()
-	now := time.Now()
-	s.parked.forEach(func(p *parkedSession) {
-		if !now.After(p.expires) {
-			states[p.token] = p.state() // forEach holds the shard lock (see state)
-		}
-	})
+	for _, p := range s.parked.live(time.Now()) {
+		states[p.token] = p.state()
+	}
 	timeout := 4 * s.opts.ReplicationInterval
 	if timeout < 2*time.Second {
 		timeout = 2 * time.Second

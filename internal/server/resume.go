@@ -48,6 +48,13 @@ func (b *replayBuffer) push(r Response) {
 	b.resp = append(b.resp, r)
 }
 
+// clone returns a copy that shares no storage with b: a resumed session
+// pushes into its own copy, leaving the parked one for any reader still
+// shipping it.
+func (b *replayBuffer) clone() *replayBuffer {
+	return &replayBuffer{max: b.max, resp: append([]Response(nil), b.resp...)}
+}
+
 // after returns the responses a client holding cursor last still needs,
 // given the session cursor seq. It reports false when the buffer no longer
 // covers the gap (or the client claims a cursor ahead of the session) — the
@@ -69,6 +76,10 @@ func (b *replayBuffer) after(last, seq int64) ([]Response, bool) {
 // parkedSession is the warm state of an interrupted resumable session,
 // waiting out the grace window for its client to reconnect. A parked
 // session holds no MaxSessions slot and no conn; only the table entry.
+// Once parked its fields are never written again, and state reads nothing
+// a resumed session writes (prog learns on, buf is copied first): a
+// replication round may still be shipping an entry the table handed out
+// when a resume takes it.
 type parkedSession struct {
 	token   string
 	prog    *core.Prognos
@@ -76,7 +87,9 @@ type parkedSession struct {
 	buf     *replayBuffer
 	carrier string
 	arch    cellular.Arch
-	expires time.Time
+	// snap is the learner export park took; state ships it, so a parked
+	// learner is exported once per park, however often it is shipped.
+	snap core.Snapshot
 	// disableReportPredictor is the session's hello setting, carried so
 	// the learner rebuilt wherever the session moves runs the same
 	// pipeline (newPrognos).
@@ -96,11 +109,13 @@ type parkedSession struct {
 }
 
 // park stores a session's warm state for ResumeGrace, evicting the entry
-// closest to expiry when the table is full. The session's learned state is
-// also merged into the warm store so a never-resumed park still contributes
-// to checkpoints and future cold starts.
+// closest to expiry when the table is full. The learner is exported once,
+// here: the export is merged into the warm store, so a never-resumed park
+// still contributes to checkpoints and future cold starts, and kept for
+// shipping.
 func (s *Server) park(p *parkedSession) {
-	s.pushWarm(p.carrier, p.arch, p.token, p.prog.Snapshot())
+	p.snap = p.prog.Snapshot()
+	s.pushWarm(p.carrier, p.arch, p.snap)
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvSessionPark,
 		Session: p.token,
@@ -108,13 +123,12 @@ func (s *Server) park(p *parkedSession) {
 		Arch:    p.arch.String(),
 		RespSeq: p.seq,
 	})
-	p.expires = time.Now().Add(s.opts.ResumeGrace)
-	replaced, evicted := s.parked.insert(p, s.opts.MaxParked)
+	replaced, evicted := s.parked.put(p.token, p, time.Now().Add(s.opts.ResumeGrace))
 	if replaced {
 		// A duplicate token replaced the previous park (same gauge slot).
 		return
 	}
-	if evicted != nil {
+	if evicted {
 		s.stats.SessionUnparked()
 		s.stats.ParkedExpired()
 	}
@@ -125,39 +139,35 @@ func (s *Server) park(p *parkedSession) {
 // live entry exists. Expired entries found here are dropped exactly as the
 // sweeper would drop them (lazy expiry).
 func (s *Server) unpark(token string) *parkedSession {
-	p := s.parked.remove(token)
-	if p == nil {
+	p, expires, ok := s.parked.take(token)
+	if !ok {
 		return nil
 	}
 	s.stats.SessionUnparked()
-	if time.Now().After(p.expires) {
+	if time.Now().After(expires) {
 		s.stats.ParkedExpired()
 		return nil
 	}
 	return p
 }
 
-// sweepParked drops every parked session past its grace window, merging its
-// learned state into the warm store first.
+// sweepParked drops every parked session past its grace window. Their
+// learners reached the warm store when they parked; pushing them again
+// here would roll back any fresher push made since.
 func (s *Server) sweepParked(now time.Time) {
-	expired := s.parked.sweep(now)
-	// The table no longer references these sessions, so their Prognos
-	// instances are exclusively ours to snapshot.
-	for _, p := range expired {
+	for n := s.parked.sweep(now); n > 0; n-- {
 		s.stats.SessionUnparked()
 		s.stats.ParkedExpired()
-		s.pushWarm(p.carrier, p.arch, p.token, p.prog.Snapshot())
 	}
 }
 
-// pushWarm records the latest learned state for a deployment context,
-// sharded by session token (see shard.go). The warm store seeds new
-// sessions' learners and is what checkpoints persist.
-func (s *Server) pushWarm(carrier string, arch cellular.Arch, token string, snap core.Snapshot) {
-	s.warm.push(warmKey{carrier: carrier, arch: arch.String()}, token, snap)
+// pushWarm records the latest learned state for a deployment context. The
+// warm store seeds new sessions' learners and is what checkpoints persist.
+func (s *Server) pushWarm(carrier string, arch cellular.Arch, snap core.Snapshot) {
+	s.warm.push(warmKey{carrier: carrier, arch: arch.String()}, snap)
 }
 
-// warmSnapshot returns the freshest stored learned state for a deployment
+// warmSnapshot returns the latest stored learned state for a deployment
 // context.
 func (s *Server) warmSnapshot(carrier string, arch cellular.Arch) (core.Snapshot, bool) {
 	return s.warm.freshest(warmKey{carrier: carrier, arch: arch.String()})
@@ -173,9 +183,7 @@ func (s *Server) restoreCheckpoints() {
 		return
 	}
 	for _, f := range files {
-		// Restored state lands in the empty-token slot with a fresh
-		// stamp; any later live push outranks it.
-		s.warm.push(warmKey{carrier: f.Carrier, arch: f.Arch}, "", f.Snapshot)
+		s.warm.push(warmKey{carrier: f.Carrier, arch: f.Arch}, f.Snapshot)
 		s.stats.CheckpointRestored()
 	}
 }

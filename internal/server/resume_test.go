@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/cellular"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -235,6 +237,170 @@ func TestSessionTimeoutResumeGraceInteraction(t *testing.T) {
 	}
 	if err := c3.CloseWrite(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tick waits until the clock reads later than it did on entry, so a time
+// taken before the call is strictly earlier than any taken after it.
+func tick() {
+	for t0 := time.Now(); !time.Now().After(t0); {
+	}
+}
+
+// parkedFor builds a parked OpX/NSA session with one served sample and a
+// fresh learner, the shape a session leaves behind when it parks.
+func parkedFor(t *testing.T, token string) *parkedSession {
+	t.Helper()
+	prog, err := newPrognos("OpX", cellular.ArchNSA, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &parkedSession{
+		token:   token,
+		prog:    prog,
+		seq:     1,
+		buf:     newReplayBuffer(replayBufCap),
+		carrier: "OpX",
+		arch:    cellular.ArchNSA,
+	}
+}
+
+// TestParkedBoundEvictsSoonest parks one session past the table's bound:
+// the park closest to expiry is evicted, the one just parked stays, the
+// gauge holds at the bound and the eviction counts as one expiry.
+func TestParkedBoundEvictsSoonest(t *testing.T) {
+	srv, err := ListenWith("127.0.0.1:0", Options{ResumeGrace: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i <= maxParked; i++ {
+		srv.park(parkedFor(t, fmt.Sprintf("ue-%d", i)))
+		tick() // distinct expiries: ue-0 expires soonest
+	}
+	if st := srv.Stats(); st.Parked != maxParked || st.ParkedExpired != 1 {
+		t.Fatalf("after %d parks: gauge %d, expired %d; want %d and 1",
+			maxParked+1, st.Parked, st.ParkedExpired, maxParked)
+	}
+	now := time.Now()
+	if srv.parked.has("ue-0", now) {
+		t.Error("the park closest to expiry survived the bound")
+	}
+	if last := fmt.Sprintf("ue-%d", maxParked); !srv.parked.has(last, now) {
+		t.Errorf("the park just made (%s) was evicted", last)
+	}
+}
+
+// TestUnparkLazyExpiry pins the lazy half of expiry: an unpark that finds
+// its entry past the grace window drops it, returns nothing and counts one
+// expiry, exactly as the sweeper would.
+func TestUnparkLazyExpiry(t *testing.T) {
+	// ResumeGrace 0: the park expires the moment it is made, and no
+	// sweeper runs to drop it first.
+	srv := newServer(nil, Options{})
+	srv.park(parkedFor(t, "ue-late"))
+	tick()
+	if p := srv.unpark("ue-late"); p != nil {
+		t.Fatal("unpark returned an expired session")
+	}
+	if st := srv.Stats(); st.Parked != 0 || st.ParkedExpired != 1 {
+		t.Fatalf("lazy expiry accounted gauge %d, expired %d; want 0 and 1", st.Parked, st.ParkedExpired)
+	}
+}
+
+// TestSweepKeepsFresherWarmPush is the regression test for expiry rolling
+// the warm store back: a park already pushed its learner to the warm
+// store, so when the park expires, a fresher push made in the meantime
+// must stay the context's warm state.
+func TestSweepKeepsFresherWarmPush(t *testing.T) {
+	srv, err := ListenWith("127.0.0.1:0", Options{ResumeGrace: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.park(parkedFor(t, "ue-parked"))
+	srv.pushWarm("OpX", cellular.ArchNSA, core.Snapshot{Learner: core.LearnerState{Learned: 42}})
+	srv.sweepParked(time.Now().Add(2 * time.Minute))
+	if st := srv.Stats(); st.Parked != 0 || st.ParkedExpired != 1 {
+		t.Fatalf("sweep accounted gauge %d, expired %d; want 0 and 1", st.Parked, st.ParkedExpired)
+	}
+	snap, ok := srv.warmSnapshot("OpX", cellular.ArchNSA)
+	if !ok || snap.Learner.Learned != 42 {
+		t.Fatalf("warm state after the sweep = (learned %d, %v), want the fresher push (42)", snap.Learner.Learned, ok)
+	}
+}
+
+// TestParkedStateSurvivesResume pins that a parked session is read-only
+// once parked: a replication round may still be shipping an entry the
+// table handed out when a resume takes it, so the resumed session serves
+// on into its own replay buffer. Under -race the concurrent reader also
+// checks that the hand-off is race-free.
+func TestParkedStateSurvivesResume(t *testing.T) {
+	srv, err := ListenWith("127.0.0.1:0", Options{ResumeGrace: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hello := Hello{Carrier: "OpX", Arch: cellular.ArchNSA, SessionToken: "ue-shipped"}
+	c1, err := Dial(srv.Addr(), hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.readAck(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	for i := 0; i < n; i++ {
+		if _, err := c1.SendSample(mkSample(time.Duration(i)*50*time.Millisecond, -95)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1.Close()
+	waitFor(t, "session to park", func() bool { return srv.Stats().Parked == 1 })
+	handed := srv.parked.live(time.Now())
+	if len(handed) != 1 {
+		t.Fatalf("live parked entries = %d, want 1", len(handed))
+	}
+	p := handed[0]
+	want := p.state()
+	if want.Seq != n || len(want.Responses) != n {
+		t.Fatalf("parked state carries seq %d with %d responses, want %d and %d", want.Seq, len(want.Responses), n, n)
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := p.state(); st.Seq != want.Seq || len(st.Responses) != len(want.Responses) {
+				t.Errorf("shipped state changed mid-resume: seq %d, %d responses", st.Seq, len(st.Responses))
+				return
+			}
+		}
+	}()
+	hello.LastSeq = n
+	c2, err := Dial(srv.Addr(), hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if ack, err := c2.readAck(); err != nil || !ack.Resumed {
+		t.Fatalf("resume ack = (%+v, %v), want resumed", ack, err)
+	}
+	for i := n; i < 2*n; i++ {
+		if _, err := c2.SendSample(mkSample(time.Duration(i)*50*time.Millisecond, -95)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if got := p.state(); got.Seq != want.Seq || len(got.Responses) != len(want.Responses) {
+		t.Fatalf("resumed session wrote into the parked entry: seq %d, %d responses; want %d and %d",
+			got.Seq, len(got.Responses), want.Seq, len(want.Responses))
 	}
 }
 

@@ -17,9 +17,7 @@
 // structured error (JSONL ErrorLine or binary FrameError, matching the
 // session's framing) before any session teardown the server initiates, and
 // a graceful drain that stops accepting while letting in-flight sessions
-// finish. Shared learner state is sharded per deployment context and per
-// session-token hash (see shard.go) so concurrent sessions do not
-// serialize on one lock.
+// finish.
 package server
 
 import (
@@ -73,20 +71,11 @@ type Options struct {
 	// session conn (0 = none). An idle or stuck session errors out after
 	// one quiet interval, freeing its slot.
 	SessionTimeout time.Duration
-	// AcceptBackoffMin/Max bound the exponential backoff applied when
-	// Accept fails with a non-shutdown error (e.g. EMFILE under load).
-	// Defaults: 5ms doubling up to 1s.
-	AcceptBackoffMin time.Duration
-	AcceptBackoffMax time.Duration
 	// ResumeGrace enables session resume: when a tokened session loses
 	// its transport, the warm Prognos instance is parked for this long
 	// and a reconnect presenting the same token re-attaches to it
 	// (0 = resume disabled). Parked sessions hold no MaxSessions slot.
 	ResumeGrace time.Duration
-	// MaxParked bounds the parked-session table (default 256 when
-	// ResumeGrace is set); at the bound the entry closest to expiry is
-	// evicted.
-	MaxParked int
 	// CheckpointDir enables crash-safe learner checkpoints: the server
 	// periodically serializes the warmest Prognos state per
 	// (carrier, arch) into versioned snapshot files in this directory
@@ -126,22 +115,23 @@ type Options struct {
 	// detector replicas are held but never promoted: confirmed failure is
 	// the only signal that lets replica state outrank the ring.
 	HeartbeatInterval time.Duration
-	// SuspectThreshold is the consecutive failed probes that confirm a
-	// peer down (default 2).
-	SuspectThreshold int
 }
 
-// withDefaults fills the backoff bounds and the resilience defaults.
+const (
+	// acceptBackoffMin/Max bound the exponential backoff applied when
+	// Accept fails with a non-shutdown error (e.g. EMFILE under load).
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+	// maxParked bounds the parked-session table; at the bound the entry
+	// closest to expiry is evicted.
+	maxParked = 256
+	// suspectThreshold is the consecutive failed probes that confirm a
+	// peer down.
+	suspectThreshold = 2
+)
+
+// withDefaults fills the resilience defaults.
 func (o Options) withDefaults() Options {
-	if o.AcceptBackoffMin <= 0 {
-		o.AcceptBackoffMin = 5 * time.Millisecond
-	}
-	if o.AcceptBackoffMax < o.AcceptBackoffMin {
-		o.AcceptBackoffMax = time.Second
-	}
-	if o.ResumeGrace > 0 && o.MaxParked <= 0 {
-		o.MaxParked = 256
-	}
 	if o.CheckpointDir != "" && o.CheckpointInterval <= 0 {
 		o.CheckpointInterval = 10 * time.Second
 	}
@@ -153,9 +143,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HeartbeatInterval < 0 || o.Cluster == nil {
 		o.HeartbeatInterval = 0
-	}
-	if o.SuspectThreshold <= 0 {
-		o.SuspectThreshold = 2
 	}
 	return o
 }
@@ -173,16 +160,16 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	sessions int // prediction sessions holding a MaxSessions slot
 
-	// parked and warm are internally sharded (see shard.go) and take no
-	// part in s.mu's ordering.
-	parked *parkedTable
+	// The shared stores (store.go) lock themselves and take no part in
+	// s.mu's ordering.
+	parked *tokenTable[*parkedSession]
 	warm   *warmStore
 
 	// Crash-fault tolerance (replicate.go). replicas holds peer session
 	// states for failover; replOut is the outbox live sessions deposit
 	// their resume state into, once per repGen bump (the replication
 	// ticker's generation counter); detector confirms peer failures.
-	replicas *replicaStore
+	replicas *tokenTable[replica]
 	replOut  *replicaOutbox
 	repGen   atomic.Int64
 	detector *cluster.Detector
@@ -225,9 +212,9 @@ func newServer(ln net.Listener, opts Options) *Server {
 		stats:    metrics.NewServerStats(),
 		sleep:    time.Sleep,
 		conns:    make(map[net.Conn]struct{}),
-		parked:   newParkedTable(),
+		parked:   newTokenTable[*parkedSession](maxParked),
 		warm:     newWarmStore(),
-		replicas: newReplicaStore(),
+		replicas: newTokenTable[replica](0),
 		replOut:  newReplicaOutbox(),
 		done:     make(chan struct{}),
 	}
@@ -362,11 +349,11 @@ func (s *Server) acceptLoop() {
 			// not busy-spin the loop: back off exponentially, capped, and
 			// reset on the next successful accept.
 			if backoff == 0 {
-				backoff = s.opts.AcceptBackoffMin
-			} else if backoff < s.opts.AcceptBackoffMax {
+				backoff = acceptBackoffMin
+			} else if backoff < acceptBackoffMax {
 				backoff *= 2
-				if backoff > s.opts.AcceptBackoffMax {
-					backoff = s.opts.AcceptBackoffMax
+				if backoff > acceptBackoffMax {
+					backoff = acceptBackoffMax
 				}
 			}
 			s.sleep(backoff)
@@ -742,8 +729,9 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			p = s.unpark(hello.SessionToken)
 		}
 		if p != nil {
-			rs, ok := p.buf.after(hello.LastSeq, p.seq)
-			if !ok && p.replica && hello.LastSeq > p.seq {
+			pseq, pbuf := p.seq, p.buf
+			rs, ok := pbuf.after(hello.LastSeq, pseq)
+			if !ok && p.replica && hello.LastSeq > pseq {
 				// Promoted replica trailing the client's cursor: the origin
 				// died after acknowledging samples the last replication push
 				// didn't carry. Fast-forward the cursor to the client's —
@@ -752,12 +740,13 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 				// where the client left off, so no acknowledged sample is
 				// re-asked or lost. The replay buffer's entries all predate
 				// the new cursor, so it restarts empty.
-				p.seq = hello.LastSeq
-				p.buf = newReplayBuffer(replayBufCap)
+				pseq, pbuf = hello.LastSeq, newReplayBuffer(replayBufCap)
 				rs, ok = nil, true
 			}
 			if ok {
-				prog, seq, buf, replay = p.prog, p.seq, p.buf, rs
+				// The parked entry stays read-only (see parkedSession): the
+				// session serves on into a copy of its replay buffer.
+				prog, seq, buf, replay = p.prog, pseq, pbuf.clone(), rs
 				resumed = true
 				s.stats.SessionResumed()
 				if p.migrated {
@@ -796,8 +785,9 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 	park := func() error {
 		if seq == 0 {
 			// Nothing served, nothing to resume: an empty park would only
-			// shadow (and, via insert-replace, destroy) real state for the
-			// token — migrated state landing during a client's warm probe.
+			// shadow (and, since the table replaces by token, destroy) real
+			// state for the token — migrated state landing during a
+			// client's warm probe.
 			return errInterrupted
 		}
 		s.park(&parkedSession{
@@ -811,32 +801,31 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		})
 		return errInterrupted
 	}
+	// fault is the one exit for a transport fault: a resumable session
+	// parks for the grace window instead of failing with err.
+	fault := func(err error) (codec, error) {
+		if resumable {
+			return cdc, park()
+		}
+		return cdc, err
+	}
 	if hello.SessionToken != "" {
 		// Always acknowledge a token (even when resume is disabled
 		// server-side: resumed=false tells the client to start fresh),
 		// then replay what the client missed.
 		if err := cdc.WriteResumeAck(ResumeAck{ResumeAck: true, Resumed: resumed, Seq: seq}); err != nil {
-			if resumable {
-				return cdc, park()
-			}
-			return cdc, err
+			return fault(err)
 		}
 		for _, r := range replay {
 			if err := cdc.WriteResponse(r); err != nil {
-				if resumable {
-					return cdc, park()
-				}
-				return cdc, err
+				return fault(err)
 			}
 		}
 	}
 	// Flush the hello-phase output (framing ack and/or resume preamble)
 	// before blocking on the first record.
 	if err := cdc.Flush(); err != nil {
-		if resumable {
-			return cdc, park()
-		}
-		return cdc, err
+		return fault(err)
 	}
 
 	samplesSinceWarm := 0
@@ -863,13 +852,8 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			case errors.As(err, &pe):
 				return cdc, fmt.Errorf("server: bad record: %w", pe.err)
 			}
-			// A read-side transport fault (reset, timeout, chaos cut):
-			// park resumable sessions for the grace window instead of
-			// erroring.
-			if resumable {
-				return cdc, park()
-			}
-			return cdc, err
+			// A read-side transport fault (reset, timeout, chaos cut).
+			return fault(err)
 		}
 		switch {
 		case rec.Report != nil:
@@ -898,10 +882,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 				buf.push(resp)
 			}
 			if err := cdc.WriteResponse(resp); err != nil {
-				if resumable {
-					return cdc, park()
-				}
-				return cdc, err
+				return fault(err)
 			}
 			// Coalesced flushing: while the client has more records
 			// already pipelined, hold the responses back and flush the
@@ -910,10 +891,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			// client is (or soon will be) blocked waiting on us.
 			if cdc.Buffered() == 0 {
 				if err := cdc.Flush(); err != nil {
-					if resumable {
-						return cdc, park()
-					}
-					return cdc, err
+					return fault(err)
 				}
 			}
 			s.stats.ObserveLatency(time.Since(reqStart))
@@ -933,7 +911,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			}
 			if samplesSinceWarm++; samplesSinceWarm >= warmPushEvery {
 				samplesSinceWarm = 0
-				s.pushWarm(hello.Carrier, hello.Arch, hello.SessionToken, prog.Snapshot())
+				s.pushWarm(hello.Carrier, hello.Arch, prog.Snapshot())
 			}
 			if replicating {
 				if gen := s.repGen.Load(); gen != lastRepGen {
@@ -945,21 +923,18 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 	}
 	// Clean EOF: release any responses still held by flush coalescing.
 	if err := cdc.Flush(); err != nil {
-		if resumable {
-			return cdc, park()
-		}
-		return cdc, err
+		return fault(err)
 	}
 	// A chaos proxy tearing a path down can surface as EOF rather than an
 	// error, so resumable sessions park here too — a genuinely finished
 	// client simply never resumes and the entry ages out of the table at
 	// the end of the grace window. Sessions that served nothing (seq 0)
 	// are the exception: they carry no state worth resuming, and parking
-	// them is actively harmful in cluster mode — insert replaces by token,
-	// so an empty park from a client that declined a cold offer (warm
-	// probing, see ResilientClient) would destroy the migrated state the
-	// probe was waiting for the moment it lands.
-	s.pushWarm(hello.Carrier, hello.Arch, hello.SessionToken, prog.Snapshot())
+	// them is actively harmful in cluster mode — the parked table
+	// replaces by token, so an empty park from a client that declined a
+	// cold offer (warm probing, see ResilientClient) would destroy the
+	// migrated state the probe was waiting for the moment it lands.
+	s.pushWarm(hello.Carrier, hello.Arch, prog.Snapshot())
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvSessionClose,
 		Session: hello.SessionToken,

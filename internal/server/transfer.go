@@ -109,9 +109,8 @@ func (s *Server) installState(st cluster.SessionState, origin string, hold bool)
 		return errors.New("server: shipped state without carrier")
 	}
 	if st.Token == "" {
-		// Context-level warm snapshot: the empty-token slot, like a
-		// restored checkpoint; any later live push outranks it.
-		s.warm.push(warmKey{carrier: st.Carrier, arch: st.Arch.String()}, "", st.Snapshot)
+		// Context-level warm snapshot, like a restored checkpoint.
+		s.pushWarm(st.Carrier, st.Arch, st.Snapshot)
 		return nil
 	}
 	if s.opts.ResumeGrace <= 0 {
@@ -121,7 +120,9 @@ func (s *Server) installState(st cluster.SessionState, origin string, hold bool)
 		return errors.New("server: resume disabled, cannot hold shipped session")
 	}
 	if hold {
-		if fresh := s.replicas.install(st, origin, time.Now().Add(s.opts.ResumeGrace)); fresh {
+		// Latest push wins; only a token new to the table moves the gauge.
+		r := replica{st: st, origin: origin}
+		if replaced, _ := s.replicas.put(st.Token, r, time.Now().Add(s.opts.ResumeGrace)); !replaced {
 			s.stats.ReplicaStored()
 		}
 		return nil
@@ -236,9 +237,8 @@ func (s *Server) shipRound(rest *cluster.Ring, sessions map[string]cluster.Sessi
 	return total, targets, firstErr
 }
 
-// state captures a parked session as a shippable full state. The caller
-// must own p or hold its shard lock, so the entry cannot be unparked (and
-// its Prognos handed to a session) mid-snapshot.
+// state captures a parked session as a shippable full state, carrying the
+// learner export taken at park.
 func (p *parkedSession) state() cluster.SessionState {
 	var resp []Response
 	if p.buf != nil {
@@ -251,7 +251,7 @@ func (p *parkedSession) state() cluster.SessionState {
 		DisableReportPredictor: p.disableReportPredictor,
 		Seq:                    p.seq,
 		Responses:              resp,
-		Snapshot:               p.prog.Snapshot(),
+		Snapshot:               p.snap,
 	}
 }
 
@@ -321,7 +321,7 @@ func (s *Server) DrainToCluster(timeout time.Duration) (DrainStats, error) {
 	// Ship every parked session, expired or not: the target re-arms
 	// expiry on install.
 	sessions := make(map[string]cluster.SessionState)
-	for _, p := range s.parked.drainAll() {
+	for _, p := range s.parked.drain() {
 		s.stats.SessionUnparked()
 		sessions[p.token] = p.state()
 	}

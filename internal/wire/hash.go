@@ -1,12 +1,8 @@
 package wire
 
-// TokenHash is FNV-1a over a session token. It is the single routing hash
-// of the serving stack: the server's warm-store slots and parked-session
-// shards (internal/server/shard.go) and the cluster ring's token placement
-// (internal/cluster) all key off this exact function, so a token's shard
-// on one node and its owner in the ring can never disagree about what was
-// hashed. TestTokenHashMatchesFNV1a pins the implementation against the
-// standard library's hash/fnv.
+// TokenHash is FNV-1a over a session token: the routing hash the cluster
+// ring places tokens with (internal/cluster). TestTokenHashMatchesFNV1a
+// pins the implementation against the standard library's hash/fnv.
 func TokenHash(token string) uint64 {
 	const (
 		offset64 = 14695981039346656037
