@@ -1,6 +1,6 @@
 # Development targets; CI runs `make ci` (see .github/workflows/ci.yml).
 
-.PHONY: ci check race test cover bench bench-json loadtest chaos protocol-compat cluster crashtest sweep holoop perfbench-test
+.PHONY: ci check race test cover bench loadtest chaos protocol-compat cluster crashtest sweep holoop perfbench-test
 
 # CI umbrella: everything the merge gate needs, cheapest signal first.
 ci: check race cover
@@ -55,6 +55,9 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 		{ echo "FAIL: coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
+# Go micro-benchmarks, for local use. The repository benchmark is
+# perfbench/ (BENCHMARK.json); the nightly gate runs it through
+# tools/perfpair (docs/ARCHITECTURE.md §Tracking performance).
 bench:
 	go test -bench=. -benchmem
 
@@ -130,51 +133,3 @@ HOLOOP_UES ?= 64
 holoop:
 	go run -race ./cmd/vivisect holoop -ues $(HOLOOP_UES) \
 		-seed 1 -drive-seconds 120 -gate
-
-# Perf trajectory tracking: run the substrate micro-benchmarks plus two
-# serving-path fleets and commit the result as BENCH_<utc-date>.json
-# (see docs/ARCHITECTURE.md §Performance for how to read and compare the
-# files). The open-loop report lands in the envelope under "fleet", the
-# closed-loop capacity run (binary framing, window 16 — the serving
-# path's headline predictions/s) under "fleet_closed", and the 3-node
-# cluster closed-loop pass under "fleet_cluster" (per-node rows, migration
-# counters, warm-resume ratio; see EXPERIMENTS.md §Cluster capacity), and
-# the node-kill crash pass under "fleet_crash" (failovers, replication
-# pushes/bytes, warm-resume ratio through a hard node crash).
-# A policy sweep (100 generated carriers with mid-run drift; see
-# EXPERIMENTS.md §Policy sweeps) lands under "policy_sweep", so the F1
-# floor and re-convergence numbers are tracked commit over commit too,
-# and the adaptive-vs-static closed-loop comparison (vivisect holoop)
-# under "ho_adaptive", so the ping-pong reduction is as well.
-# `date -u` pins the filename to UTC so a nightly run names the same file
-# no matter which timezone the runner happens to be in.
-BENCH_PATTERN ?= ^(BenchmarkSimFreewayKm|BenchmarkPrognosReplay|BenchmarkPatternMatch|BenchmarkOnSample|BenchmarkPredict)$$
-FLEET_REPORT ?= /tmp/benchjson-fleet.json
-FLEET_CLOSED_REPORT ?= /tmp/benchjson-fleet-closed.json
-FLEET_CLUSTER_REPORT ?= /tmp/benchjson-fleet-cluster.json
-FLEET_CRASH_REPORT ?= /tmp/benchjson-fleet-crash.json
-SWEEP_REPORT ?= /tmp/benchjson-sweep.json
-HOLOOP_REPORT ?= /tmp/benchjson-holoop.json
-bench-json:
-	go run ./cmd/prognosload -selfserve -ues 64 -duration 10s -mode open \
-		-ramp 1s -report $(FLEET_REPORT)
-	go run ./cmd/prognosload -selfserve -ues 64 -duration 10s -mode closed \
-		-ramp 1s -framing binary -window 16 -report $(FLEET_CLOSED_REPORT)
-	go run ./cmd/prognosload -cluster 3 -ues 64 -duration 10s -mode closed \
-		-ramp 1s -framing binary -window 16 -report $(FLEET_CLUSTER_REPORT)
-	go run ./cmd/prognosload -cluster 3 -ues 64 -duration 10s -mode closed \
-		-ramp 1s -framing binary -window 4 -node-kill -min-warm-resume 0.9 \
-		-report $(FLEET_CRASH_REPORT)
-	go run ./cmd/vivisect sweep -carriers 100 -drift -seed 1 \
-		-report $(SWEEP_REPORT)
-	go run ./cmd/vivisect holoop -ues 64 -seed 1 -drive-seconds 120 \
-		-gate -report $(HOLOOP_REPORT)
-	go test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . \
-		| go run ./tools/benchjson -fleet $(FLEET_REPORT) \
-			-fleet-closed $(FLEET_CLOSED_REPORT) \
-			-fleet-cluster $(FLEET_CLUSTER_REPORT) \
-			-fleet-crash $(FLEET_CRASH_REPORT) \
-			-sweep $(SWEEP_REPORT) \
-			-holoop $(HOLOOP_REPORT) \
-		> BENCH_$$(date -u +%Y-%m-%d).json
-	@ls BENCH_$$(date -u +%Y-%m-%d).json

@@ -19,14 +19,6 @@
 //	            [-chaos] [-chaos-seed 1] [-chaos-reset 0.05] ...
 //	            [-addrs h:7015,h:7016,h:7017 | -cluster 3]
 //	            [-rolling-restart | -node-kill] [-min-warm-resume 0.9]
-//	            [-adaptive]
-//
-// -adaptive generates every UE's drive under the closed-loop adaptive
-// handover controller (internal/ran.AdaptiveController fed by an embedded
-// Prognos instance): each drive is simulated twice over the identical seed —
-// static baseline and adaptive arm — the adaptive traces are what the fleet
-// serves, and the report's "adaptive" block carries the ping-pong
-// comparison (tools/benchjson records it under ho_adaptive).
 //
 // Cluster mode: -addrs points the fleet at an external prognosd cluster
 // (each UE dials its token's consistent-hash owner, with the remaining
@@ -58,7 +50,7 @@
 // gate on it.
 //
 // The text summary goes to stdout; -report writes the machine-readable
-// fleet report (tools/benchjson -fleet merges it into BENCH_<date>.json).
+// fleet report as JSON.
 package main
 
 import (
@@ -73,7 +65,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/fleet"
 	"repro/internal/geo"
-	"repro/internal/ran"
 )
 
 func main() {
@@ -105,7 +96,6 @@ func main() {
 	rollingRestart := flag.Bool("rolling-restart", false, "with -cluster: drain-restart every node once under load")
 	nodeKill := flag.Bool("node-kill", false, "with -cluster: hard-crash one node mid-load (no drain) and start it again later")
 	minWarmResume := flag.Float64("min-warm-resume", 0, "fail the run if the warm-resume ratio falls below this (0 = off)")
-	adaptive := flag.Bool("adaptive", false, "generate each UE's drive under the closed-loop adaptive handover controller (vs-static comparison in the report)")
 	flag.Parse()
 
 	m, err := fleet.ParseMode(*mode)
@@ -156,9 +146,6 @@ func main() {
 		cfg.Faults = fleet.RollingRestart
 	case *nodeKill:
 		cfg.Faults = fleet.NodeKill
-	}
-	if *adaptive {
-		cfg.Adaptive = ran.DefaultAdaptive()
 	}
 	if *chaosOn {
 		cfg.Chaos = &chaos.Config{
@@ -211,11 +198,6 @@ func main() {
 				rep.NodeKills, rep.Failovers, rep.ReplicationPushes, rep.ReplicationBytes,
 				rep.Reconnects, rep.ResumedSessions, rep.ColdResumes)
 		}
-	}
-	if a := rep.Adaptive; a != nil {
-		fmt.Printf("adaptive: ping-pong rate %.4f -> %.4f (%+.1f%%)  HOs %d -> %d  early-preps %d (%.0f ms saved)  skip-aheads %d  reconfigs %d\n",
-			a.StaticPingPongRate, a.AdaptivePingPongRate, -100*a.PingPongReduction,
-			a.StaticHandovers, a.AdaptiveHandovers, a.EarlyPreps, a.PrepSavedMS, a.SkipAheads, a.Reconfigs)
 	}
 	if rep.FailedUEs > 0 {
 		fmt.Printf("FAILED UEs: %d\n", rep.FailedUEs)

@@ -10,6 +10,9 @@
 //	vivisect sweep                # fuzz generated carrier-policy portfolios
 //	vivisect holoop               # adaptive-vs-static closed-loop comparison
 //
+// Flags come before the subcommand; trace, sweep and holoop also accept
+// them after it, and take no other arguments.
+//
 // Flags:
 //
 //	-seed N         random seed (default 1)
@@ -105,6 +108,22 @@ func main() {
 		os.Exit(2)
 	}
 
+	switch args[0] {
+	case "trace", "sweep", "holoop":
+		// Accept flags after the subcommand too (`vivisect trace -seed 3`):
+		// flag.Parse stops at the first positional argument, so re-parse
+		// the remainder into the same flag set. These subcommands take no
+		// positional arguments.
+		if err := flag.CommandLine.Parse(args[1:]); err != nil {
+			os.Exit(2)
+		}
+		if flag.NArg() > 0 {
+			fmt.Fprintf(os.Stderr, "vivisect: %s: unexpected argument %q\n", args[0], flag.Arg(0))
+			usage()
+			os.Exit(2)
+		}
+	}
+
 	opts := experiments.Options{Seed: *seed, Scale: *scale}
 	var specs []experiments.Spec
 	switch args[0] {
@@ -116,21 +135,12 @@ func main() {
 	case "trace":
 		os.Exit(runTrace(*seed, *carrier, *archName, *routeName, *lengthM, *traceFile))
 	case "sweep":
-		// Accept flags after the subcommand too (`vivisect sweep -carriers
-		// 100 ...`): flag.Parse stops at the first positional argument, so
-		// re-parse the remainder into the same flag set.
-		if err := flag.CommandLine.Parse(args[1:]); err != nil {
-			os.Exit(2)
-		}
 		os.Exit(runSweep(sweepArgs{
 			seed: *seed, carriers: *carriers, drift: *drift, jobs: *jobs,
 			driveSeconds: *driveSeconds, f1Threshold: *f1Threshold,
 			report: *report, opsAddr: *opsAddr,
 		}))
 	case "holoop":
-		if err := flag.CommandLine.Parse(args[1:]); err != nil {
-			os.Exit(2)
-		}
 		os.Exit(runHOLoop(holoopArgs{
 			seed: *seed, ues: *ues, jobs: *jobs, driveSeconds: *driveSeconds,
 			gate: *gate, f1Epsilon: *f1Epsilon,
@@ -443,7 +453,8 @@ func summarize(results []experiments.Result, wall time.Duration) {
 func usage() {
 	fmt.Fprintf(os.Stderr, `vivisect regenerates the paper's tables and figures.
 
-usage: vivisect [flags] list | all | trace | <experiment-id> [...]
+usage: vivisect [flags] list | all | <experiment-id> [...]
+       vivisect [flags] trace | sweep | holoop [flags]
 
 flags:
 `)

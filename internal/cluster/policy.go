@@ -3,14 +3,23 @@ package cluster
 import (
 	"sort"
 	"strconv"
-
-	"repro/internal/wire"
 )
 
-// TokenHash is the placement hash: wire.TokenHash, re-exported so callers
-// routing outside a Ring (tests, tooling) provably hash the way the ring
-// does.
-func TokenHash(token string) uint64 { return wire.TokenHash(token) }
+// tokenHash is FNV-1a over a session token: the hash the ring places
+// tokens and virtual nodes with. TestTokenHashMatchesFNV1a pins it against
+// the standard library's hash/fnv.
+func tokenHash(token string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(token); i++ {
+		h ^= uint64(token[i])
+		h *= prime64
+	}
+	return h
+}
 
 // Policy turns a token hash into a member-preference order. New calls
 // Rebuild once with the ring's member list; Candidates must then be safe
@@ -31,8 +40,8 @@ const vnodesPerMember = 64
 // "...ue-7" vs "...ue-8", vnode "host#3" vs "host#4") get hashes that are
 // close in the high bits. Ring positions order by the full 64-bit value,
 // so without mixing all of a member's vnodes collapsed onto one arc. The ring therefore
-// runs TokenHash through this bijection first; placement remains a pure
-// function of wire.TokenHash.
+// runs tokenHash through this bijection first; placement remains a pure
+// function of the token's FNV-1a hash.
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -43,7 +52,7 @@ func mix64(h uint64) uint64 {
 }
 
 // ringPolicy is consistent hashing: each member projects vnodesPerMember
-// points onto the hash circle (point = TokenHash(member + "#" + i)), and a
+// points onto the hash circle (point = tokenHash(member + "#" + i)), and a
 // token belongs to the first point clockwise from its own hash.
 type ringPolicy struct {
 	points  []ringPoint // sorted by hash
@@ -64,7 +73,7 @@ func (p *ringPolicy) Rebuild(members []string) {
 	for _, m := range members {
 		for i := 0; i < vnodesPerMember; i++ {
 			p.points = append(p.points, ringPoint{
-				hash:   mix64(TokenHash(m + "#" + strconv.Itoa(i))),
+				hash:   mix64(tokenHash(m + "#" + strconv.Itoa(i))),
 				member: m,
 			})
 		}

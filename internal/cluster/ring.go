@@ -1,6 +1,6 @@
 // Package cluster turns N prognosd processes into one serving fleet. It
 // owns three things: token placement (a consistent-hash ring over session
-// tokens, hashed with wire.TokenHash), the state-transfer client that ships
+// tokens, hashed with FNV-1a), the state-transfer client that ships
 // parked sessions and warm snapshots between nodes over the
 // docs/PROTOCOL.md §State-transfer frames — for a drain handoff or a
 // crash-fault replica alike — and the failure detector that decides when a
@@ -65,14 +65,14 @@ func (r *Ring) Size() int { return len(r.members) }
 
 // Owner returns the member that owns token.
 func (r *Ring) Owner(token string) string {
-	return r.policy.Candidates(TokenHash(token))[0]
+	return r.policy.Candidates(tokenHash(token))[0]
 }
 
 // Candidates returns every member in placement-preference order for token:
 // index 0 is the owner, index 1 the successor a drain migrates the token
 // to, and so on. The slice is freshly allocated.
 func (r *Ring) Candidates(token string) []string {
-	return r.policy.Candidates(TokenHash(token))
+	return r.policy.Candidates(tokenHash(token))
 }
 
 // Contains reports whether addr is a ring member.

@@ -12,7 +12,7 @@ import (
 // (the same one RunSweep carries): the marshalled report bytes are identical
 // at -jobs 1 and -jobs 4, because each UE is a pure function of (cfg, index)
 // and the report records nothing about the execution (no wall-clock, no
-// worker count).
+// worker count). The bytes also hash to the golden in testdata/.
 func TestRunHOLoopDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-drive comparison; skipped with -short")
@@ -42,6 +42,7 @@ func TestRunHOLoopDeterministicAcrossJobs(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("report bytes differ between -jobs 1 and -jobs 4:\n%s\n----\n%s", a, b)
 	}
+	checkReportGolden(t, "holoop_report", a, seq.Summary)
 	if seen.Load() != int64(cfg.UEs) {
 		t.Errorf("OnUE fired %d times, want %d", seen.Load(), cfg.UEs)
 	}

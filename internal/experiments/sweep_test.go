@@ -9,7 +9,8 @@ import (
 
 // TestRunSweepDeterministicAcrossJobs is the sweep determinism contract:
 // the marshalled report bytes are identical at -jobs 1 and -jobs 4 (per-spec
-// RNG ownership — no worker shares a stream).
+// RNG ownership — no worker shares a stream), and they hash to the golden
+// in testdata/.
 func TestRunSweepDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-drive sweep; skipped with -short")
@@ -44,6 +45,7 @@ func TestRunSweepDeterministicAcrossJobs(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("report bytes differ between -jobs 1 and -jobs 4:\n%s\n----\n%s", a, b)
 	}
+	checkReportGolden(t, "sweep_report", a, seq.Summary)
 
 	for i, c := range seq.Results {
 		if c.Error != "" {

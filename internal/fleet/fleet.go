@@ -36,7 +36,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/ran"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -144,13 +143,6 @@ type Config struct {
 	// report carries both sides of the ledger: what the fleet sent and what
 	// the server says it served. Empty disables the scrape.
 	OpsAddr string
-	// Adaptive, when set with at least one control enabled, closes the
-	// prediction loop in every UE's drive generation: each drive is
-	// simulated twice over the identical seed — once static (the baseline),
-	// once with a ran.AdaptiveController steering the live policy — the
-	// adaptive traces are what the fleet serves, and Report.Adaptive
-	// carries the ping-pong comparison. Nil keeps generation unchanged.
-	Adaptive *ran.AdaptiveConfig
 	// Chaos, when set, interposes a fault-injecting proxy (internal/chaos)
 	// between the fleet and its single target: UEs dial the proxy, the
 	// proxy forwards to the real server through seeded per-connection
@@ -304,9 +296,6 @@ type Report struct {
 	ReplicationPushes int64        `json:"replication_pushes,omitempty"`
 	ReplicationBytes  int64        `json:"replication_bytes,omitempty"`
 	PerNode           []NodeReport `json:"per_node,omitempty"`
-	// Adaptive is the closed-loop adaptive-vs-static comparison when the
-	// run generated its drives under Config.Adaptive.
-	Adaptive *AdaptiveSummary `json:"adaptive,omitempty"`
 	// PredictionsPerSec is the fleet-wide serving throughput over the
 	// load phase.
 	PredictionsPerSec float64 `json:"predictions_per_sec"`
@@ -448,10 +437,6 @@ func Run(cfg Config) (*Report, error) {
 	genStart := time.Now()
 	logs := make([]*trace.Log, cfg.UEs)
 	genErrs := make([]error, cfg.UEs)
-	var tally *adaptiveTally
-	if cfg.Adaptive.Enabled() {
-		tally = &adaptiveTally{}
-	}
 	var wg sync.WaitGroup
 	genSlots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := 0; i < cfg.UEs; i++ {
@@ -460,20 +445,14 @@ func Run(cfg Config) (*Report, error) {
 			defer wg.Done()
 			genSlots <- struct{}{}
 			defer func() { <-genSlots }()
-			simCfg := sim.Config{
+			logs[i], genErrs[i] = sim.Run(sim.Config{
 				Carrier:      carrier,
 				Arch:         cfg.Arch,
 				RouteKind:    cfg.Route,
 				RouteLengthM: cfg.routeLengthM(),
 				SpeedMPS:     cfg.SpeedMPS,
 				Seed:         cfg.ueSeed(i),
-				Adaptive:     cfg.Adaptive,
-			}
-			if tally != nil {
-				logs[i], genErrs[i] = genAdaptive(simCfg, tally)
-			} else {
-				logs[i], genErrs[i] = sim.Run(simCfg)
-			}
+			})
 		}(i)
 	}
 	wg.Wait()
@@ -580,9 +559,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.Mode == ModeClosed && cfg.ClosedWindow > 1 {
 		rep.ClosedWindow = cfg.ClosedWindow
-	}
-	if tally != nil {
-		rep.Adaptive = tally.summary(cfg.Adaptive)
 	}
 	if proxy != nil {
 		rep.ChaosSeed = cfg.Chaos.Seed

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 )
 
@@ -203,17 +202,4 @@ func (r HOLoopReport) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadHOLoopFile loads a report written by WriteFile.
-func ReadHOLoopFile(path string) (HOLoopReport, error) {
-	var r HOLoopReport
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		return r, fmt.Errorf("metrics: parse holoop report %s: %w", path, err)
-	}
-	return r, nil
 }

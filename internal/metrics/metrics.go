@@ -109,19 +109,6 @@ func (r Report) WriteFile(path string) error {
 	return nil
 }
 
-// ReadFile parses a report previously written with WriteFile.
-func ReadFile(path string) (Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, fmt.Errorf("metrics: read report: %w", err)
-	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return Report{}, fmt.Errorf("metrics: parse report %s: %w", path, err)
-	}
-	return r, nil
-}
-
 // Probe counts the simulator work attributable to one experiment. The
 // runner hands every spec its own probe via Options.WithProbe, and the
 // drive helpers credit each completed drive to it; counters are atomic so

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"sort"
 	"sync"
@@ -124,8 +123,9 @@ func (r *SweepReport) Summarize() {
 }
 
 // percentile is the linear-interpolation quantile used by the sweep
-// aggregates (duplicated from internal/analysis to keep metrics
-// dependency-free for tools like benchjson).
+// aggregates. It duplicates analysis.Percentile because metrics cannot
+// import analysis: sim imports metrics (through obs), and analysis's
+// tests import sim.
 func percentile(vals []float64, p float64) float64 {
 	if len(vals) == 0 {
 		return 0
@@ -160,19 +160,6 @@ func (r SweepReport) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadSweepFile loads a report written by WriteFile.
-func ReadSweepFile(path string) (SweepReport, error) {
-	var r SweepReport
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(b, &r); err != nil {
-		return r, fmt.Errorf("metrics: parse sweep report %s: %w", path, err)
-	}
-	return r, nil
 }
 
 // SweepProgress is a point-in-time snapshot of a running sweep, exported

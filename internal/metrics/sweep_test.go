@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -31,8 +33,12 @@ func TestSweepReportSummarizeAndRoundTrip(t *testing.T) {
 	if err := r.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSweepFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got SweepReport
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Summary != s || len(got.Results) != 3 || got.Results[2].Error != "boom" {
@@ -40,9 +46,9 @@ func TestSweepReportSummarizeAndRoundTrip(t *testing.T) {
 	}
 	// Marshal is the determinism contract: identical reports produce
 	// identical bytes.
-	a, _ := r.Marshal()
-	b, _ := r.Marshal()
-	if string(a) != string(b) {
+	m1, _ := r.Marshal()
+	m2, _ := r.Marshal()
+	if string(m1) != string(m2) {
 		t.Error("Marshal not stable")
 	}
 }
