@@ -41,6 +41,12 @@ type PropagationModel struct {
 	// MMWaveExtraLossDB adds blockage/oxygen-absorption penalty applied to
 	// mmWave links beyond free-space frequency scaling.
 	MMWaveExtraLossDB float64
+
+	// noiseMW is DBToLinear(noiseAt), filled by DefaultModel. SINR uses it
+	// only while NoiseFloorDBm still equals noiseAt, so an edit to the
+	// exported field never reads a stale power.
+	noiseAt, noiseMW float64
+	noiseSet         bool
 }
 
 // DefaultModel returns the propagation model used throughout the
@@ -48,7 +54,7 @@ type PropagationModel struct {
 // paper's §6.1 diameters (1.4 km low, 0.73 km mid, 0.15 km mmWave) for the
 // default topology parameters.
 func DefaultModel() *PropagationModel {
-	return &PropagationModel{
+	m := &PropagationModel{
 		PathLossExp:       3.2,
 		ShadowSigmaDB:     6.0,
 		ShadowCorrDistM:   50.0,
@@ -56,6 +62,16 @@ func DefaultModel() *PropagationModel {
 		NoiseFloorDBm:     -100.0,
 		MMWaveExtraLossDB: 10.0,
 	}
+	m.noiseAt, m.noiseMW, m.noiseSet = m.NoiseFloorDBm, DBToLinear(m.NoiseFloorDBm), true
+	return m
+}
+
+// noisePower returns the noise floor's linear power (mW).
+func (m *PropagationModel) noisePower() float64 {
+	if m.noiseSet && m.NoiseFloorDBm == m.noiseAt {
+		return m.noiseMW
+	}
+	return DBToLinear(m.NoiseFloorDBm)
 }
 
 // FreeSpaceRefLossDB returns the free-space path loss at the reference
@@ -109,20 +125,46 @@ type ShadowField struct {
 	sigma    float64
 	corrDist float64
 	rng      *rand.Rand
+	step     *ShadowStep
 	lastPos  float64
 	lastVal  float64
 	primed   bool
 }
 
+// ShadowStep holds the AR(1) coefficients of the last step a set of
+// shadow fields took: rho = exp(−Δ/corrDist) and sqrt(1−rho²), keyed on
+// the bits of Δ and corrDist. Every cell a drive observed on the previous
+// tick steps by the same Δ, so the drive's fields share one ShadowStep and
+// pay one Exp and one Sqrt per distinct step instead of one per cell. The
+// zero value is empty. A ShadowStep is not safe for concurrent use.
+type ShadowStep struct {
+	delta, corrDist uint64
+	rho, k          float64
+	set             bool
+}
+
+// coeffs returns rho and sqrt(1−rho²) for a step of delta metres.
+func (st *ShadowStep) coeffs(delta, corrDist float64) (rho, k float64) {
+	if !st.set || math.Float64bits(delta) != st.delta || math.Float64bits(corrDist) != st.corrDist {
+		st.rho = math.Exp(-delta / corrDist)
+		st.k = math.Sqrt(1 - st.rho*st.rho)
+		st.delta, st.corrDist, st.set = math.Float64bits(delta), math.Float64bits(corrDist), true
+	}
+	return st.rho, st.k
+}
+
 // NewShadowField creates a correlated shadowing process with the model's
-// parameters, using rng for the innovation sequence.
-func (m *PropagationModel) NewShadowField(rng *rand.Rand) *ShadowField {
-	return &ShadowField{sigma: m.ShadowSigmaDB, corrDist: m.ShadowCorrDistM, rng: rng}
+// parameters, using rng for the innovation sequence and step for its
+// coefficients. Fields stepped by one caller (one drive's cells) share one
+// step.
+func (m *PropagationModel) NewShadowField(rng *rand.Rand, step *ShadowStep) *ShadowField {
+	return &ShadowField{sigma: m.ShadowSigmaDB, corrDist: m.ShadowCorrDistM, rng: rng, step: step}
 }
 
 // At returns the shadowing value (dB) at odometer position pos metres.
 // Positions must be non-decreasing across calls; the process is an AR(1) in
-// travelled distance with correlation exp(-Δ/corrDist).
+// travelled distance with correlation exp(-Δ/corrDist). Each call draws
+// one normal.
 func (f *ShadowField) At(pos float64) float64 {
 	if !f.primed {
 		f.primed = true
@@ -134,8 +176,8 @@ func (f *ShadowField) At(pos float64) float64 {
 	if delta < 0 {
 		delta = 0
 	}
-	rho := math.Exp(-delta / f.corrDist)
-	f.lastVal = rho*f.lastVal + math.Sqrt(1-rho*rho)*f.rng.NormFloat64()*f.sigma
+	rho, k := f.step.coeffs(delta, f.corrDist)
+	f.lastVal = rho*f.lastVal + k*f.rng.NormFloat64()*f.sigma
 	f.lastPos = pos
 	return f.lastVal
 }
@@ -165,11 +207,90 @@ const rsrpRef = -80.0
 // SINR computes the signal-to-interference-plus-noise ratio (dB) given the
 // serving RSRP (dBm) and the RSRPs of co-channel interferers (dBm).
 func (m *PropagationModel) SINR(servingRSRP float64, interferers []float64) float64 {
-	noise := math.Pow(10, m.NoiseFloorDBm/10)
-	denom := noise
+	denom := m.noisePower()
 	for _, i := range interferers {
-		denom += math.Pow(10, i/10)
+		denom += DBToLinear(i)
 	}
-	sig := math.Pow(10, servingRSRP/10)
+	sig := DBToLinear(servingRSRP)
 	return 10 * math.Log10(sig/denom)
+}
+
+// ln10 and frac10·2^exp10 are pow's view of the base 10: Log(10), and
+// Frexp(10) = 0.625·2⁴, computed by the functions pow calls on every use.
+var (
+	ln10          = math.Log(10)
+	frac10, exp10 = math.Frexp(10)
+)
+
+// DBToLinear returns 10^(db/10), the linear value of a dB quantity, bit for
+// bit equal to math.Pow(10, db/10) wherever math.Pow is Go's pure-Go pow
+// (every port but s390x). It runs pow's own steps for a base of 10, with
+// the base's Log and Frexp taken once above instead of on every call: the
+// special cases, Modf of the exponent, Exp of its fraction times ln 10,
+// square-and-multiply over the mantissa and exponent of 10 for its integer
+// part, and Ldexp.
+func DBToLinear(db float64) float64 {
+	y := db / 10
+	switch {
+	case y == 0:
+		return 1
+	case y == 1:
+		return 10
+	case math.IsNaN(y):
+		return math.NaN()
+	case math.IsInf(y, 1):
+		return math.Inf(1)
+	case math.IsInf(y, -1):
+		return 0
+	case y == 0.5:
+		return math.Sqrt(10)
+	case y == -0.5:
+		return 1 / math.Sqrt(10)
+	}
+	yi, yf := math.Modf(math.Abs(y))
+	if yi >= 1<<63 {
+		// An even integer this large overflows (or, negated, underflows).
+		if y > 0 {
+			return math.Inf(1)
+		}
+		return 0
+	}
+
+	// ans = a1 * 2**ae, times 10**yf first.
+	a1 := 1.0
+	ae := 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = math.Exp(yf * ln10)
+	}
+
+	// ans *= 10**yi by successive squarings of 10 = x1 * 2**xe.
+	x1, xe := frac10, exp10
+	for i := int64(yi); i != 0; i >>= 1 {
+		if xe < -1<<12 || 1<<12 < xe {
+			// xe would overflow the shift; ae += xe already bounds the
+			// result out of range, so Ldexp returns 0 or Inf.
+			ae += xe
+			break
+		}
+		if i&1 == 1 {
+			a1 *= x1
+			ae += xe
+		}
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
 }

@@ -55,7 +55,7 @@ func TestMedianRSRPDecreases(t *testing.T) {
 func TestShadowFieldCorrelation(t *testing.T) {
 	m := DefaultModel()
 	rng := rand.New(rand.NewSource(5))
-	f := m.NewShadowField(rng)
+	f := m.NewShadowField(rng, &ShadowStep{})
 	v0 := f.At(0)
 	v1 := f.At(1) // 1 m later: highly correlated
 	if math.Abs(v1-v0) > 3*m.ShadowSigmaDB/2 {

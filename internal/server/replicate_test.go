@@ -20,8 +20,15 @@ import (
 // persistence — no error, the fallback named in the summary — instead of
 // failing a survivable shutdown.
 func TestDrainToClusterLocalFallback(t *testing.T) {
-	// Reserve a port for the "peer" and close it again, so the ring names
-	// a member that is guaranteed unreachable.
+	// The node listens first. Then a port for the "peer" is reserved and
+	// closed again, so the ring names a member that is guaranteed
+	// unreachable; the node's open listener keeps the kernel from handing
+	// that same port back to the node, which would collapse the ring to
+	// one member.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -29,10 +36,6 @@ func TestDrainToClusterLocalFallback(t *testing.T) {
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ring, err := cluster.New([]string{ln.Addr().String(), deadAddr}, cluster.NewRingPolicy())
 	if err != nil {
 		t.Fatal(err)

@@ -44,10 +44,11 @@ func warmedState(t testing.TB, cfg Config) (*state, geo.Point) {
 
 // TestSteadyStateTickZeroAllocs pins the per-tick compute path — grid walk,
 // per-cell observation/filtering, measurement-input assembly including
-// SINR/interferer collection — to zero heap allocations. Excluded by design
-// are the sinks that allocate when output is produced (trace.Log appends,
-// measurement-report emission) and one-time lazy initialisation; those are
-// either amortised growth of the result or cold-path work.
+// SINR/interferer collection, and the sample written into a presized log —
+// to zero heap allocations. Excluded by design are the sinks that allocate
+// when output is produced (report and handover appends, measurement-report
+// emission) and one-time lazy initialisation; those are either amortised
+// growth of the result or cold-path work.
 func TestSteadyStateTickZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -65,13 +66,15 @@ func TestSteadyStateTickZeroAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, p := warmedState(t, tc.cfg)
-			avg := testing.AllocsPerRun(200, func() {
+			const runs = 200
+			s.log.Samples = make([]trace.Sample, 0, len(s.log.Samples)+runs+1)
+			avg := testing.AllocsPerRun(runs, func() {
 				s.scan(p)
 				in := s.buildMeasInput(p)
-				_ = in
+				s.logSample(p, &in)
 			})
 			if avg != 0 {
-				t.Errorf("steady-state scan+measurement path allocates %.2f times per tick, want 0", avg)
+				t.Errorf("steady-state scan+measurement+sample path allocates %.2f times per tick, want 0", avg)
 			}
 		})
 	}

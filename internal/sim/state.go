@@ -65,6 +65,9 @@ type state struct {
 	// creation order — and with it every RNG sub-stream — matches the
 	// map-based implementation.
 	shadows []*radio.ShadowField
+	// shadowStep is the AR(1) coefficient cache every shadow field of the
+	// drive shares: the cells observed on one tick all step by one Δ.
+	shadowStep radio.ShadowStep
 	// l3 holds per-cell L3-filtered RSRP (3GPP layer-3 filtering smooths
 	// fast fading before event evaluation, preventing measurement-noise
 	// ping-pong); l3Valid marks slots that have seen a first observation.
@@ -102,6 +105,9 @@ type state struct {
 	// scratch per-tick observations per tech.
 	obsLTE []cellObs
 	obsNR  []cellObs
+	// spare holds the sample of a tick the log does not store
+	// (SampleEveryN > 1); the closed loop still consumes it.
+	spare trace.Sample
 	// interf is the interferer scratch buffer reused across rrsFor calls;
 	// no caller retains the returned slice beyond one call.
 	interf []float64
@@ -236,7 +242,7 @@ func (s *state) shadowFor(c *cellular.Cell) *radio.ShadowField {
 		// Derive a per-cell deterministic sub-seed so drives are
 		// reproducible regardless of initialisation order.
 		sub := rand.New(rand.NewSource(s.cfg.Seed ^ int64(c.PCI)<<17 ^ int64(c.TowerID)<<3 ^ int64(c.Tech)))
-		f = s.prop.NewShadowField(sub)
+		f = s.prop.NewShadowField(sub, &s.shadowStep)
 		s.shadows[slot] = f
 	}
 	return f
@@ -467,14 +473,17 @@ func (s *state) observed(c *cellular.Cell, p geo.Point) float64 {
 }
 
 func (s *state) run() {
-	total := s.cfg.RouteLengthM * float64(s.cfg.Laps)
+	total := s.route.Length()
 	if s.cfg.RouteKind == geo.RouteCityLoop {
-		total = s.route.Length() * float64(s.cfg.Laps)
-	} else {
-		total = s.route.Length()
+		total *= float64(s.cfg.Laps)
 	}
 	dt := trace.SamplePeriod
 	step := s.cfg.SpeedMPS * dt.Seconds()
+	// The loop below runs ⌈total/step⌉ ticks, one more at most through
+	// rounding of odo, and the log stores every SampleEveryN-th of them.
+	if n := total / step; n >= 0 && n < math.MaxInt32 {
+		s.log.Samples = make([]trace.Sample, 0, (int(n)+2)/s.cfg.SampleEveryN+1)
+	}
 
 	// Initial attachment.
 	s.scan(s.route.At(0))
@@ -515,9 +524,9 @@ func (s *state) tick(p geo.Point, dt time.Duration) {
 		s.maybeDecide(mr, p)
 	}
 
-	smp := s.logSample(p)
+	smp := s.logSample(p, &in)
 	if s.actrl != nil {
-		s.closeLoop(smp)
+		s.closeLoop(*smp)
 	}
 }
 
@@ -968,31 +977,35 @@ func (s *state) chainSCGMobility(p geo.Point) {
 	s.traceHO(ev)
 }
 
-// logSample records the 20 Hz cross-layer sample and returns it (the
-// closed loop consumes every tick's sample even when SampleEveryN thins
-// what the trace stores).
-func (s *state) logSample(p geo.Point) trace.Sample {
+// logSample records the 20 Hz cross-layer sample in place in the log and
+// returns it (the closed loop consumes every tick's sample even when
+// SampleEveryN thins what the trace stores; an unstored one lives in
+// spare). in is the tick's measurement input.
+func (s *state) logSample(p geo.Point, in *ue.Input) *trace.Sample {
+	var smp *trace.Sample
+	if s.ticks%s.cfg.SampleEveryN == 0 {
+		s.log.Samples = append(s.log.Samples, trace.Sample{})
+		smp = &s.log.Samples[len(s.log.Samples)-1]
+	} else {
+		s.spare = trace.Sample{}
+		smp = &s.spare
+	}
 	inHO := s.pending != nil && s.now >= s.pending.cmdAt && s.now < s.pending.endAt
 	hoType := cellular.HONone
 	if inHO {
 		hoType = s.pending.typ
 	}
-
-	smp := trace.Sample{
-		Time:      s.now,
-		X:         p.X,
-		Y:         p.Y,
-		OdometerM: s.odo,
-		SpeedMPS:  s.cfg.SpeedMPS,
-		Arch:      s.cfg.Arch,
-		InHO:      inHO,
-		HOType:    hoType,
-	}
+	smp.Time = s.now
+	smp.X, smp.Y = p.X, p.Y
+	smp.OdometerM = s.odo
+	smp.SpeedMPS = s.cfg.SpeedMPS
+	smp.Arch = s.cfg.Arch
+	smp.InHO = inHO
+	smp.HOType = hoType
 
 	var lteMbps, nrMbps float64
 	if s.lteCell != nil {
-		rsrp := s.observed(s.lteCell, p)
-		rrs := s.rrsFor(s.lteCell, rsrp)
+		rrs := s.sampleRRS(s.lteCell, in.LTE.ServingRRS, p)
 		smp.ServingLTE = trace.CellObs{PCI: s.lteCell.PCI, Tech: cellular.TechLTE, Band: s.lteCell.Band, RSRP: rrs.RSRP, RSRQ: rrs.RSRQ, SINR: rrs.SINR, Valid: true}
 		lteMbps = throughput.CapacityMbps(cellular.TechLTE, s.lteCell.Band, rrs.SINR)
 		if o, ok := bestInBand(s.obsLTE, s.lteCell.Band, s.lteCell); ok {
@@ -1000,8 +1013,7 @@ func (s *state) logSample(p geo.Point) trace.Sample {
 		}
 	}
 	if s.nrCell != nil {
-		rsrp := s.observed(s.nrCell, p)
-		rrs := s.rrsFor(s.nrCell, rsrp)
+		rrs := s.sampleRRS(s.nrCell, in.NR.ServingRRS, p)
 		smp.ServingNR = trace.CellObs{PCI: s.nrCell.PCI, Tech: cellular.TechNR, Band: s.nrCell.Band, RSRP: rrs.RSRP, RSRQ: rrs.RSRQ, SINR: rrs.SINR, Valid: true}
 		nrMbps = throughput.CapacityMbps(cellular.TechNR, s.nrCell.Band, rrs.SINR) * s.nrRampFactor()
 		if o, ok := bestInBand(s.obsNR, s.nrCell.Band, s.nrCell); ok {
@@ -1030,9 +1042,17 @@ func (s *state) logSample(p geo.Point) trace.Sample {
 			smp.TputMbps = lteMbps
 		}
 	}
-
-	if s.ticks%s.cfg.SampleEveryN == 0 {
-		s.log.Samples = append(s.log.Samples, smp)
-	}
 	return smp
+}
+
+// sampleRRS returns a serving cell's RRS for the tick's sample. A cell
+// from this tick's scan reuses measured, the RRS buildMeasInput computed:
+// the cell, the observation slices and the RSRP are the ones it saw, and
+// maybeDecide changes neither serving cell. A cell outside the scan is
+// observed afresh, with its own shadowing and fading draws.
+func (s *state) sampleRRS(c *cellular.Cell, measured cellular.RRS, p geo.Point) cellular.RRS {
+	if s.obsGen[c.Index] == s.scanGen {
+		return measured
+	}
+	return s.rrsFor(c, s.observe(c, p))
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cellular"
+	"repro/internal/radio"
 )
 
 // Channel bandwidth (MHz) per technology/band, representative of the
@@ -56,7 +57,7 @@ func CapacityMbps(tech cellular.Tech, band cellular.Band, sinrDB float64) float6
 	if sinrDB < -10 {
 		return 0
 	}
-	lin := math.Pow(10, sinrDB/10)
+	lin := radio.DBToLinear(sinrDB)
 	eff := math.Log2(1 + lin)
 	if m := maxSpectralEff(tech, band); eff > m {
 		eff = m

@@ -89,7 +89,7 @@ func (e *MeasurementEngine) ResetEvent(t cellular.EventType, tech cellular.Tech)
 
 // measFor selects the measurement context an event config evaluates
 // against.
-func measFor(cfg cellular.EventConfig, in Input) (serving, neighbor float64, servingPCI, neighborPCI cellular.PCI, rrs cellular.RRS, ok bool) {
+func measFor(cfg *cellular.EventConfig, in *Input) (serving, neighbor float64, servingPCI, neighborPCI cellular.PCI, rrs cellular.RRS, ok bool) {
 	switch {
 	case cfg.Type == cellular.EventB1:
 		// Inter-RAT: serving is the LTE anchor, neighbour is the best NR
@@ -99,7 +99,7 @@ func measFor(cfg cellular.EventConfig, in Input) (serving, neighbor float64, ser
 		}
 		return in.LTE.ServingRSRP, in.NRCandidate.ServingRSRP, in.LTE.ServingPCI, in.NRCandidate.ServingPCI, in.LTE.ServingRRS, true
 	case cfg.Tech == cellular.TechNR:
-		m := in.NR
+		m := &in.NR
 		if !m.Valid {
 			return 0, 0, 0, 0, cellular.RRS{}, false
 		}
@@ -111,7 +111,7 @@ func measFor(cfg cellular.EventConfig, in Input) (serving, neighbor float64, ser
 		}
 		return m.ServingRSRP, n, m.ServingPCI, np, m.ServingRRS, true
 	default:
-		m := in.LTE
+		m := &in.LTE
 		if !m.Valid {
 			return 0, 0, 0, 0, cellular.RRS{}, false
 		}
@@ -134,7 +134,7 @@ func (e *MeasurementEngine) Tick(in Input, dt time.Duration) []cellular.Measurem
 	var out []cellular.MeasurementReport
 	for i := range e.states {
 		st := &e.states[i]
-		serving, neighbor, spci, npci, rrs, ok := measFor(st.cfg, in)
+		serving, neighbor, spci, npci, rrs, ok := measFor(&st.cfg, &in)
 		if !ok {
 			st.heldFor = 0
 			st.reports = 0

@@ -2,7 +2,7 @@
 // benchmark (perfbench/run.sh) in two checkouts, BASE and HEAD, in
 // alternating pairs on every workload BENCHMARK.json lists, prints each
 // pair's end-to-end metrics side by side, and fails when serve-path
-// throughput at HEAD drops more than 15% below BASE.
+// throughput or simulator speed at HEAD drops more than 15% below BASE.
 //
 // Usage:
 //
@@ -21,8 +21,9 @@
 // the interquartile range of BASE's runs as a fraction of their median.
 //
 // It exits non-zero when a run exits non-zero, reports correct:false or
-// reports failed>0, and when the median head/base of predictions_per_s is
-// below 0.85 on serve_closed or cluster_repl. Nothing else gates.
+// reports failed>0, and when a median head/base is below 0.85 on a gated
+// pair: predictions_per_s on serve_closed or cluster_repl, or sim_km_per_s
+// on offline_repro. Nothing else gates.
 package main
 
 import (
@@ -42,14 +43,23 @@ import (
 const (
 	// seeds is the number of pairs per workload (seeds 1..seeds).
 	seeds = 5
-	// gateMetric must keep a median head/base of at least gateRatio on
-	// every gatedWorkloads entry: the old nightly gate's −15% bound on
-	// serve-path predictions/s.
-	gateMetric = "predictions_per_s"
-	gateRatio  = 0.85
+	// gateRatio is the lowest median head/base a gated pair may keep: the
+	// old nightly gate's −15% bound on serve-path predictions/s.
+	gateRatio = 0.85
 )
 
-var gatedWorkloads = []string{"serve_closed", "cluster_repl"}
+// gate is one gated (workload, metric) pair.
+type gate struct{ workload, metric string }
+
+func (g gate) String() string { return g.workload + " " + g.metric }
+
+// gates are the pairs held to gateRatio: serve-path throughput, and the
+// simulator's speed on the paper-reproduction path.
+var gates = []gate{
+	{"serve_closed", "predictions_per_s"},
+	{"cluster_repl", "predictions_per_s"},
+	{"offline_repro", "sim_km_per_s"},
+}
 
 // benchmark is the part of BENCHMARK.json the gate reads.
 type benchmark struct {
@@ -115,15 +125,19 @@ func run(base, head string, out io.Writer) error {
 			fmt.Fprintf(out, "summary %-14s %-22s median head/base %.3f, head won %d/%d, base IQR %.1f%% of median\n",
 				w.Name, m.Name, med, won, seeds, 100*spread)
 			// Written as !(>=) so that a NaN median (no base value) fails.
-			if m.Name == gateMetric && slices.Contains(gatedWorkloads, w.Name) && !(med >= gateRatio) {
-				gateFailures = append(gateFailures, fmt.Sprintf("%s %s median head/base %.3f < %.2f", w.Name, m.Name, med, gateRatio))
+			if g := (gate{w.Name, m.Name}); slices.Contains(gates, g) && !(med >= gateRatio) {
+				gateFailures = append(gateFailures, fmt.Sprintf("%s median head/base %.3f < %.2f", g, med, gateRatio))
 			}
 		}
 	}
 	if len(gateFailures) > 0 {
 		return fmt.Errorf("gate failed: %s", strings.Join(gateFailures, "; "))
 	}
-	fmt.Fprintf(out, "gate passed: %s median head/base >= %.2f on %s\n", gateMetric, gateRatio, strings.Join(gatedWorkloads, " and "))
+	names := make([]string, len(gates))
+	for i, g := range gates {
+		names[i] = g.String()
+	}
+	fmt.Fprintf(out, "gate passed: median head/base >= %.2f on %s\n", gateRatio, strings.Join(names, ", "))
 	return nil
 }
 
@@ -148,9 +162,11 @@ func loadBenchmark(path string) (benchmark, error) {
 		}
 		names[m.Name] = true
 	}
-	for _, n := range append([]string{gateMetric}, gatedWorkloads...) {
-		if !names[n] {
-			return b, fmt.Errorf("%s does not list %s, which the gate reads", path, n)
+	for _, g := range gates {
+		for _, n := range []string{g.workload, g.metric} {
+			if !names[n] {
+				return b, fmt.Errorf("%s does not list %s, which the gate reads", path, n)
+			}
 		}
 	}
 	return b, nil

@@ -9,13 +9,14 @@ import (
 	"testing"
 )
 
-// fakeBenchmark is a BENCHMARK.json with the three workloads and one
-// end-to-end metric in each direction.
+// fakeBenchmark is a BENCHMARK.json with the three workloads, both gated
+// metrics and one end-to-end metric that is better lower.
 const fakeBenchmark = `{
   "run_seconds": 20,
   "workloads": [{"name": "serve_closed"}, {"name": "offline_repro"}, {"name": "cluster_repl"}],
   "end_to_end": [
     {"name": "predictions_per_s", "better": "higher"},
+    {"name": "sim_km_per_s", "better": "higher"},
     {"name": "latency_p99_ms", "better": "lower"}
   ]
 }`
@@ -32,13 +33,13 @@ exit "$(cat "canned/$2-$4.code")"
 
 // fakeRun is one canned perfbench run.
 type fakeRun struct {
-	pps, p99 float64
-	correct  bool
-	failed   int
-	code     int
+	pps, kmps, p99 float64
+	correct        bool
+	failed         int
+	code           int
 }
 
-func ok(pps float64) fakeRun { return fakeRun{pps: pps, p99: 1, correct: true} }
+func ok(pps float64) fakeRun { return fakeRun{pps: pps, kmps: 300, p99: 1, correct: true} }
 
 // checkout writes a fake checkout root named name under dir. canned gives
 // the run for each workload and seed.
@@ -59,8 +60,8 @@ func checkout(t *testing.T, dir, name string, canned func(workload string, seed 
 			r := canned(w, seed)
 			key := fmt.Sprintf("canned/%s-%d", w, seed)
 			files[key+".json"] = fmt.Sprintf(
-				`{"correct": %v, "attempted": 100, "failed": %d, "metrics": {"predictions_per_s": {"value": %g, "unit": "1/s"}, "latency_p99_ms": {"value": %g, "unit": "ms"}}}`+"\n",
-				r.correct, r.failed, r.pps, r.p99)
+				`{"correct": %v, "attempted": 100, "failed": %d, "metrics": {"predictions_per_s": {"value": %g, "unit": "1/s"}, "sim_km_per_s": {"value": %g, "unit": "km/s"}, "latency_p99_ms": {"value": %g, "unit": "ms"}}}`+"\n",
+				r.correct, r.failed, r.pps, r.kmps, r.p99)
 			files[key+".code"] = fmt.Sprint(r.code)
 		}
 	}
@@ -84,29 +85,37 @@ func pair(t *testing.T, canned func(workload string, seed int) fakeRun) (string,
 	return out.String(), err
 }
 
-// TestGateMedian checks the gate's rule on each gated workload: a median
-// head/base of 0.84 on predictions_per_s fails, 0.86 passes. Outliers on
-// either side of the median do not decide it.
+// TestGateMedian checks the gate's rule on each gated pair:
+// predictions_per_s on serve_closed and cluster_repl, and sim_km_per_s on
+// offline_repro. A median head/base of 0.84 fails, 0.86 passes. Outliers
+// on either side of the median do not decide it.
 func TestGateMedian(t *testing.T) {
-	for _, w := range []string{"serve_closed", "cluster_repl"} {
+	for _, g := range []gate{
+		{"serve_closed", "predictions_per_s"},
+		{"cluster_repl", "predictions_per_s"},
+		{"offline_repro", "sim_km_per_s"},
+	} {
 		for _, tc := range []struct {
-			head     [seeds]float64
+			ratio    [seeds]float64
 			wantFail bool
 		}{
-			{[seeds]float64{1200, 840, 500, 840, 1100}, true},
-			{[seeds]float64{1200, 860, 500, 860, 1100}, false},
+			{[seeds]float64{1.2, 0.84, 0.5, 0.84, 1.1}, true},
+			{[seeds]float64{1.2, 0.86, 0.5, 0.86, 1.1}, false},
 		} {
 			out, err := pair(t, func(workload string, seed int) fakeRun {
-				if workload == w {
-					return ok(tc.head[seed-1])
+				r := ok(1000)
+				if workload == g.workload && g.metric == "sim_km_per_s" {
+					r.kmps *= tc.ratio[seed-1]
+				} else if workload == g.workload {
+					r.pps *= tc.ratio[seed-1]
 				}
-				return ok(1000)
+				return r
 			})
 			if gotFail := err != nil; gotFail != tc.wantFail {
-				t.Fatalf("%s head %v: err = %v, want failure %v\n%s", w, tc.head, err, tc.wantFail, out)
+				t.Fatalf("%s head/base %v: err = %v, want failure %v\n%s", g, tc.ratio, err, tc.wantFail, out)
 			}
-			if tc.wantFail && !strings.Contains(err.Error(), w+" predictions_per_s median head/base 0.840") {
-				t.Errorf("%s: gate error %q does not name the workload and median", w, err)
+			if tc.wantFail && !strings.Contains(err.Error(), g.String()+" median head/base 0.840") {
+				t.Errorf("%s: gate error %q does not name the pair and median", g, err)
 			}
 		}
 	}
@@ -141,13 +150,16 @@ func TestGateRunFailures(t *testing.T) {
 	}
 }
 
-// TestUngatedMetricsNeverFail halves predictions/s on the ungated workload
-// and triples p99 everywhere: the gate still passes.
+// TestUngatedMetricsNeverFail halves predictions/s on the workload where
+// it is ungated, halves sim km/s on the workloads where it is ungated, and
+// triples p99 everywhere: the gate still passes.
 func TestUngatedMetricsNeverFail(t *testing.T) {
 	out, err := pair(t, func(w string, _ int) fakeRun {
 		r := ok(1000)
 		if w == "offline_repro" {
 			r.pps = 500
+		} else {
+			r.kmps = 150
 		}
 		r.p99 = 3
 		return r
@@ -158,6 +170,7 @@ func TestUngatedMetricsNeverFail(t *testing.T) {
 	for _, want := range []string{
 		"summary offline_repro  predictions_per_s      median head/base 0.500, head won 0/5",
 		"summary serve_closed   latency_p99_ms         median head/base 3.000, head won 0/5",
+		"summary cluster_repl   sim_km_per_s           median head/base 0.500, head won 0/5",
 		"gate passed",
 	} {
 		if !strings.Contains(out, want) {
@@ -217,7 +230,9 @@ func TestSummarize(t *testing.T) {
 func TestBenchmarkMustNameTheGate(t *testing.T) {
 	for _, edit := range [][2]string{
 		{`, {"name": "cluster_repl"}`, ``},
+		{`, {"name": "offline_repro"}`, ``},
 		{`{"name": "predictions_per_s", "better": "higher"},`, ``},
+		{`{"name": "sim_km_per_s", "better": "higher"},`, ``},
 		{`"better": "lower"`, `"better": "less"`},
 	} {
 		body := strings.Replace(fakeBenchmark, edit[0], edit[1], 1)
