@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/cellular"
@@ -109,27 +108,4 @@ func Tail(series []F1Point, n int) (float64, bool) {
 		sum += v
 	}
 	return sum / float64(n), true
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of vals by linear
-// interpolation; vals need not be sorted. Zero-length input returns 0.
-func Percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 1 {
-		return s[len(s)-1]
-	}
-	pos := p * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

@@ -72,23 +72,3 @@ func TestF1SeriesConvergenceShape(t *testing.T) {
 		t.Errorf("tail = %.2f ok=%v, want 1", tail, ok)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{4, 1, 3, 2}
-	if got := Percentile(vals, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(vals, 1); got != 4 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(vals, 0.5); got != 2.5 {
-		t.Errorf("p50 = %v, want 2.5", got)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-	// Input must not be mutated (callers hold live aggregates).
-	if vals[0] != 4 {
-		t.Error("Percentile sorted its input in place")
-	}
-}

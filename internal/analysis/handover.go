@@ -9,8 +9,9 @@ import (
 )
 
 // This file quantifies mobility-management quality for the closed-loop
-// evaluation (ROADMAP item 3): ping-pong rate, handover interruption time,
-// and the per-UE QoE series the adaptive-vs-static comparison reads.
+// evaluation (docs/ARCHITECTURE.md §The closed loop): ping-pongs, handover
+// interruption time, and the per-UE QoE summary the adaptive-vs-static
+// comparison reads.
 
 // PingPongs counts ping-pong handovers: a cell-changing handover A→B
 // followed by B→A within the critical window (the classic mobility-
@@ -32,21 +33,6 @@ func PingPongs(handovers []cellular.HandoverEvent, window time.Duration) int {
 		lastSrc, lastDst, lastAt, valid = ho.SourceCell, ho.TargetCell, ho.Time, true
 	}
 	return count
-}
-
-// PingPongRate is PingPongs normalised by the number of cell-changing
-// handovers (0 when there were none).
-func PingPongRate(handovers []cellular.HandoverEvent, window time.Duration) float64 {
-	moves := 0
-	for _, ho := range handovers {
-		if ho.SourceCell != "" && ho.TargetCell != "" && ho.SourceCell != ho.TargetCell {
-			moves++
-		}
-	}
-	if moves == 0 {
-		return 0
-	}
-	return float64(PingPongs(handovers, window)) / float64(moves)
 }
 
 // InterruptionStats summarises handover interruption time: the T2
@@ -83,69 +69,13 @@ func Interruption(handovers []cellular.HandoverEvent) InterruptionStats {
 	return out
 }
 
-// QoEPoint is one bucket of a per-UE QoE series: windowed application-level
-// throughput statistics over the drive's effective-throughput samples.
-type QoEPoint struct {
-	// Start is the bucket's opening sim time.
-	Start time.Duration `json:"start"`
-	// MeanMbps / MinMbps summarise the bucket's effective throughput;
-	// StallFrac is the fraction of samples at or below the stall floor.
-	MeanMbps  float64 `json:"mean_mbps"`
-	MinMbps   float64 `json:"min_mbps"`
-	StallFrac float64 `json:"stall_frac"`
-}
-
 // DefaultStallMbps is the throughput floor below which a sample counts as
 // a stall (streaming-abandonment territory).
 const DefaultStallMbps = 1.0
 
-// QoESeries buckets a drive's samples into fixed windows and summarises
-// each (mean/min throughput, stall fraction). stallMbps ≤ 0 uses
-// DefaultStallMbps.
-func QoESeries(samples []trace.Sample, bucket time.Duration, stallMbps float64) []QoEPoint {
-	if len(samples) == 0 || bucket <= 0 {
-		return nil
-	}
-	if stallMbps <= 0 {
-		stallMbps = DefaultStallMbps
-	}
-	var out []QoEPoint
-	start := samples[0].Time
-	var sum, min float64
-	n, stalls := 0, 0
-	flush := func() {
-		if n == 0 {
-			return
-		}
-		out = append(out, QoEPoint{
-			Start:     start,
-			MeanMbps:  sum / float64(n),
-			MinMbps:   min,
-			StallFrac: float64(stalls) / float64(n),
-		})
-	}
-	for _, s := range samples {
-		for s.Time >= start+bucket {
-			flush()
-			start += bucket
-			sum, min, n, stalls = 0, 0, 0, 0
-		}
-		if n == 0 || s.TputMbps < min {
-			min = s.TputMbps
-		}
-		sum += s.TputMbps
-		n++
-		if s.TputMbps <= stallMbps {
-			stalls++
-		}
-	}
-	flush()
-	return out
-}
-
-// QoESummary collapses a QoE series into drive-level numbers: the
-// sample-weighted mean throughput and stall fraction. It recomputes from
-// the raw samples so buckets with different populations weigh correctly.
+// QoESummary collapses a drive's samples into drive-level numbers: the
+// mean throughput and the fraction of samples at or below the stall
+// floor. stallMbps ≤ 0 uses DefaultStallMbps.
 func QoESummary(samples []trace.Sample, stallMbps float64) (meanMbps, stallFrac float64) {
 	if len(samples) == 0 {
 		return 0, 0

@@ -64,21 +64,6 @@ func TestPingPongs(t *testing.T) {
 	}
 }
 
-func TestPingPongRate(t *testing.T) {
-	if got := PingPongRate(nil, time.Second); got != 0 {
-		t.Errorf("empty rate = %v, want 0", got)
-	}
-	hos := []cellular.HandoverEvent{
-		mkHO(cellular.HOMNBH, "a", "b", 0),
-		mkHO(cellular.HOMNBH, "b", "a", time.Second),
-		mkHO(cellular.HOMNBH, "a", "c", 30*time.Second),
-		mkHO(cellular.HOMNBH, "c", "d", 60*time.Second),
-	}
-	if got, want := PingPongRate(hos, 5*time.Second), 0.25; got != want {
-		t.Errorf("rate = %v, want %v", got, want)
-	}
-}
-
 func TestInterruption(t *testing.T) {
 	hos := []cellular.HandoverEvent{
 		// Interrupts both planes: counted.
@@ -97,37 +82,6 @@ func TestInterruption(t *testing.T) {
 	}
 	if z := Interruption(nil); z != (InterruptionStats{}) {
 		t.Errorf("empty stats = %+v", z)
-	}
-}
-
-func TestQoESeries(t *testing.T) {
-	mk := func(at time.Duration, mbps float64) trace.Sample {
-		return trace.Sample{Time: at, TputMbps: mbps}
-	}
-	samples := []trace.Sample{
-		mk(0, 100), mk(time.Second, 0.5), // bucket 1: mean 50.25, min 0.5, 1 stall
-		mk(2*time.Second, 200), // bucket 2
-		// 3s..4s empty: no bucket emitted
-		mk(4*time.Second, 10), mk(4*time.Second+500*time.Millisecond, 20), // bucket 3
-	}
-	pts := QoESeries(samples, 2*time.Second, 0)
-	if len(pts) != 3 {
-		t.Fatalf("series has %d buckets, want 3", len(pts))
-	}
-	if pts[0].MeanMbps != 50.25 || pts[0].MinMbps != 0.5 || pts[0].StallFrac != 0.5 {
-		t.Errorf("bucket 0: %+v", pts[0])
-	}
-	if pts[1].Start != 2*time.Second || pts[1].MeanMbps != 200 || pts[1].StallFrac != 0 {
-		t.Errorf("bucket 1: %+v", pts[1])
-	}
-	if pts[2].Start != 4*time.Second || pts[2].MeanMbps != 15 || pts[2].MinMbps != 10 {
-		t.Errorf("bucket 2: %+v", pts[2])
-	}
-	if QoESeries(nil, time.Second, 0) != nil {
-		t.Error("empty samples produced a series")
-	}
-	if QoESeries(samples, 0, 0) != nil {
-		t.Error("zero bucket produced a series")
 	}
 }
 

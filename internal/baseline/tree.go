@@ -23,10 +23,8 @@ type regTree struct {
 
 // treeParams tunes tree induction.
 type treeParams struct {
-	maxDepth    int
-	minSamples  int
-	minGain     float64
-	maxFeatures int // 0 = all
+	maxDepth   int
+	minSamples int
 }
 
 // fitTree grows a regression tree on (X, y) with optional per-sample
@@ -78,7 +76,7 @@ func growNode(X [][]float64, y []float64, idx []int, p treeParams, depth int) *t
 	}
 
 	nFeat := len(X[0])
-	bestGain := p.minGain
+	bestGain := 0.0
 	bestFeat := -1
 	bestThr := 0.0
 

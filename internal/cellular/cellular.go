@@ -214,7 +214,6 @@ type Cell struct {
 	TowerID int     // physical tower hosting the cell
 	X, Y    float64 // tower position, metres (duplicated for convenience)
 	TxPower float64 // transmit power, dBm
-	ARFCN   int     // absolute radio frequency channel number (synthetic)
 	// Index is the cell's dense position within its deployment
 	// (topology.Generate assigns 0..N-1 in generation order). Hot paths use
 	// it to address per-cell state as slice slots instead of hashing

@@ -98,19 +98,6 @@ func (d *Detector) Down(peer string) bool {
 	return d.down[peer]
 }
 
-// Suspects returns the number of peers currently confirmed down.
-func (d *Detector) Suspects() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, v := range d.down {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
 func (d *Detector) loop() {
 	defer d.wg.Done()
 	t := time.NewTicker(d.cfg.Interval)

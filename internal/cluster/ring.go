@@ -8,7 +8,8 @@
 //
 // The membership model is deliberately static-per-run: every node and every
 // client is configured with the same member list and derives the same ring.
-// There is no gossip or consensus — ROADMAP item 2 asks for horizontal
+// There is no gossip or consensus — membership is configuration
+// (ARCHITECTURE.md §The ring), and the cluster provides horizontal
 // scale-out with live migration, not a membership protocol. What keeps the
 // fleet coherent through drains and restarts is the sticky-session rule
 // (ARCHITECTURE.md §Cluster): a node serves any token it holds warm state

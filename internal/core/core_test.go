@@ -269,12 +269,12 @@ func TestReportPredictorTTTCases(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		rp.Observe(mk(-80, time.Duration(i)*50*time.Millisecond))
 	}
-	if preds := rp.Predict(); len(preds) != 0 {
+	if preds := rp.PredictInto(nil); len(preds) != 0 {
 		t.Fatalf("healthy signal forecast %v", preds)
 	}
 	// Condition just entered: TTT running → case-2 forecast.
 	rp.Observe(mk(-140, 2*time.Second))
-	preds := rp.Predict()
+	preds := rp.PredictInto(nil)
 	foundA2 := false
 	for _, p := range preds {
 		if p.Event == cellular.EventA2 && !p.Repeat {
@@ -287,7 +287,7 @@ func TestReportPredictorTTTCases(t *testing.T) {
 	if !foundA2 {
 		// The smoothed value may need another deep sample to cross.
 		rp.Observe(mk(-140, 2050*time.Millisecond))
-		for _, p := range rp.Predict() {
+		for _, p := range rp.PredictInto(nil) {
 			if p.Event == cellular.EventA2 {
 				foundA2 = true
 			}

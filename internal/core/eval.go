@@ -147,7 +147,6 @@ func (e EventOutcome) Accuracy() float64 {
 // predRun is one maximal run of identical positive predictions.
 type predRun struct {
 	typ        cellular.HOType
-	patternKey string
 	start, end time.Duration
 	matched    bool
 }
@@ -171,7 +170,7 @@ func EvaluateEvents(ticks []TickPrediction, handovers []cellular.HandoverEvent, 
 		for j+1 < len(ticks) && ticks[j+1].Type == ticks[i].Type {
 			j++
 		}
-		runs = append(runs, predRun{typ: ticks[i].Type, patternKey: ticks[i].PatternKey, start: ticks[i].Time, end: ticks[j].Time})
+		runs = append(runs, predRun{typ: ticks[i].Type, start: ticks[i].Time, end: ticks[j].Time})
 		i = j + 1
 	}
 	// Match each handover to a covering run of its type.

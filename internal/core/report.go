@@ -311,9 +311,9 @@ func (r *ReportPredictor) SetState(st ReportState) {
 	copy(r.edgeActive, st.EdgeActive)
 }
 
-// Predict forecasts the measurement reports expected within the prediction
-// window, ordered by lead time. Three per-event cases, mirroring the UE's
-// measurement engine on smoothed signals:
+// PredictInto forecasts the measurement reports expected within the
+// prediction window, ordered by lead time. Three per-event cases, mirroring
+// the UE's measurement engine on smoothed signals:
 //
 //  1. The condition has held past TTT — the report already fired and sits
 //     in the observed phase; nothing new to forecast.
@@ -321,14 +321,11 @@ func (r *ReportPredictor) SetState(st ReportState) {
 //     forecast to complete in (TTT − held) steps.
 //  3. The condition is off — a rising edge is searched in the forecast RRS,
 //     and the report is predicted when the edge plus TTT fit the horizon.
-func (r *ReportPredictor) Predict() []PredictedReport {
-	return r.PredictInto(nil)
-}
-
-// PredictInto is Predict with caller-supplied storage: forecasts are
-// appended to out (which may be a reused scratch slice with length 0) so the
-// steady-state prediction path allocates nothing. The returned slice is only
-// valid until the caller's next PredictInto call with the same backing array.
+//
+// Forecasts are appended to out (nil, or a reused scratch slice with
+// length 0) so the steady-state prediction path allocates nothing. The
+// returned slice is only valid until the caller's next PredictInto call
+// with the same backing array.
 func (r *ReportPredictor) PredictInto(out []PredictedReport) []PredictedReport {
 	tttSteps := func(ttt time.Duration) int {
 		st := int(ttt / r.stepDur)

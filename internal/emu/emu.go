@@ -125,11 +125,3 @@ func (l *Link) Idle(d time.Duration) {
 		l.now += d
 	}
 }
-
-// ThroughputMbps returns the effective throughput of a completed transfer.
-func ThroughputMbps(sizeBytes float64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return sizeBytes * 8 / 1e6 / d.Seconds()
-}

@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -122,14 +121,5 @@ func TestIdleAndSeek(t *testing.T) {
 	link.Seek(0)
 	if link.Now() != 0 {
 		t.Error("seek")
-	}
-}
-
-func TestThroughputMbps(t *testing.T) {
-	if got := ThroughputMbps(1.25e6, time.Second); math.Abs(got-10) > 1e-9 {
-		t.Errorf("ThroughputMbps = %v", got)
-	}
-	if ThroughputMbps(100, 0) != 0 {
-		t.Error("zero duration must yield 0")
 	}
 }

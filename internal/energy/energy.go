@@ -26,9 +26,6 @@ const NominalBatteryVoltage = 3.85
 // nominal voltage.
 func JoulesToMAh(j float64) float64 { return j / (NominalBatteryVoltage * 3.6) }
 
-// MAhToJoules converts battery capacity in mAh to joules.
-func MAhToJoules(mah float64) float64 { return mah * NominalBatteryVoltage * 3.6 }
-
 // perMessageJ is the incremental energy of one HO-related signalling
 // message; it realises the signalling↔energy correlation of §5.3.
 const perMessageJ = 0.002
@@ -71,9 +68,6 @@ func HOEnergyJ(ho cellular.HandoverEvent) float64 {
 	return p*window.Seconds() + perMessageJ*float64(ho.Signaling.Total())
 }
 
-// HOEnergyMAh returns the battery drain (mAh) of one handover.
-func HOEnergyMAh(ho cellular.HandoverEvent) float64 { return JoulesToMAh(HOEnergyJ(ho)) }
-
 // Drain summarises the handover energy cost of a drive.
 type Drain struct {
 	Handovers int
@@ -103,11 +97,6 @@ func Summarize(hos []cellular.HandoverEvent, distanceKM float64) Drain {
 	}
 	return d
 }
-
-// BaselinePowerW is the stationary no-HO power the paper subtracts from its
-// measurements; exported for the examples and docs (the HO model above is
-// already baseline-free).
-const BaselinePowerW = 1.35
 
 // DataEnergy reports how much bulk data (GB) a given battery budget (mAh)
 // would move, using the per-byte slopes the paper borrows from Narayanan

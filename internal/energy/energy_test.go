@@ -19,12 +19,9 @@ func mkHO(ty cellular.HOType, band cellular.Band, rng *rand.Rand) cellular.Hando
 }
 
 func TestUnitConversions(t *testing.T) {
-	if got := JoulesToMAh(MAhToJoules(10)); math.Abs(got-10) > 1e-9 {
-		t.Errorf("round trip = %v", got)
-	}
 	// 1 mAh at 3.85 V is 13.86 J.
-	if got := MAhToJoules(1); math.Abs(got-13.86) > 0.01 {
-		t.Errorf("1 mAh = %v J", got)
+	if got := JoulesToMAh(13.86); math.Abs(got-1) > 1e-9 {
+		t.Errorf("13.86 J = %v mAh", got)
 	}
 }
 
@@ -99,10 +96,10 @@ func TestHourlyDrainBallpark(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var nsa, lte float64
 	for i := 0; i < 553; i++ {
-		nsa += HOEnergyMAh(mkHO(cellular.HOSCGC, cellular.BandLow, rng))
+		nsa += JoulesToMAh(HOEnergyJ(mkHO(cellular.HOSCGC, cellular.BandLow, rng)))
 	}
 	for i := 0; i < 217; i++ {
-		lte += HOEnergyMAh(mkHO(cellular.HOLTEH, cellular.BandMid, rng))
+		lte += JoulesToMAh(HOEnergyJ(mkHO(cellular.HOLTEH, cellular.BandMid, rng)))
 	}
 	if nsa < 15 || nsa > 70 {
 		t.Errorf("hourly NSA drain %v mAh, want ≈34.7", nsa)

@@ -255,7 +255,11 @@ func TestRunnerMetricsAttribution(t *testing.T) {
 	if rep.Seed != 5 || rep.Jobs != 1 || len(rep.Experiments) != 1 {
 		t.Errorf("report %+v", rep)
 	}
-	if rep.TotalDrives() != 1 || rep.TotalHOEvents() != m.HOEvents {
-		t.Errorf("report totals drives=%d hos=%d", rep.TotalDrives(), rep.TotalHOEvents())
+	var drives, hos int64
+	for _, e := range rep.Experiments {
+		drives, hos = drives+e.Drives, hos+e.HOEvents
+	}
+	if drives != 1 || hos != m.HOEvents {
+		t.Errorf("report totals drives=%d hos=%d", drives, hos)
 	}
 }

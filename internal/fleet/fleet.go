@@ -316,7 +316,7 @@ type Report struct {
 
 // replay cycles one drive log as an endless, time-monotone stream: when
 // the trace runs out it restarts with all timestamps shifted past the
-// previous pass, exactly like trace.Merge chains logs.
+// previous pass.
 type replay struct {
 	log       *trace.Log
 	i, ri, hi int

@@ -80,10 +80,6 @@ func NewPolyline(pts []Point) (*Polyline, error) {
 // Length returns the total arc length of the polyline in metres.
 func (pl *Polyline) Length() float64 { return pl.cumLen[len(pl.cumLen)-1] }
 
-// Points returns the polyline's waypoints. The returned slice must not be
-// modified.
-func (pl *Polyline) Points() []Point { return pl.pts }
-
 // At returns the point at arc-length s (metres) from the start. s is clamped
 // to [0, Length].
 func (pl *Polyline) At(s float64) Point {
@@ -131,19 +127,4 @@ func (pl *Polyline) Heading(s float64) Point {
 		return Point{1, 0}
 	}
 	return d.Scale(1 / n)
-}
-
-// Sample returns points every step metres along the polyline, always
-// including the start and end points.
-func (pl *Polyline) Sample(step float64) []Point {
-	if step <= 0 {
-		step = 1
-	}
-	n := int(pl.Length()/step) + 1
-	out := make([]Point, 0, n+1)
-	for s := 0.0; s < pl.Length(); s += step {
-		out = append(out, pl.At(s))
-	}
-	out = append(out, pl.pts[len(pl.pts)-1])
-	return out
 }

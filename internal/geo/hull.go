@@ -54,20 +54,6 @@ func ConvexHull(pts []Point) []Point {
 	return hull[:len(hull)-1]
 }
 
-// PolygonArea returns the signed area of the polygon; counter-clockwise
-// polygons have positive area.
-func PolygonArea(poly []Point) float64 {
-	if len(poly) < 3 {
-		return 0
-	}
-	area := 0.0
-	for i := range poly {
-		j := (i + 1) % len(poly)
-		area += poly[i].Cross(poly[j])
-	}
-	return area / 2
-}
-
 // PointInConvex reports whether p lies inside (or on the boundary of) the
 // convex polygon poly given in counter-clockwise order.
 func PointInConvex(p Point, poly []Point) bool {

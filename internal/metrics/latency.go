@@ -78,9 +78,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations recorded so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Quantile returns the q-quantile (0 < q <= 1) as a duration: the upper
 // bound of the bucket holding the ceil(q*count)-th observation, clamped to
 // the exact maximum. It returns 0 when the histogram is empty.

@@ -51,13 +51,13 @@ func TestHistogramExactStats(t *testing.T) {
 	for _, ms := range []int64{5, 1, 9, 3} {
 		h.Observe(time.Duration(ms) * time.Millisecond)
 	}
-	if h.Count() != 4 {
-		t.Fatalf("count %d", h.Count())
+	snap := h.Snapshot()
+	if snap.Count != 4 {
+		t.Fatalf("count %d", snap.Count)
 	}
 	if h.Min() != time.Millisecond || h.Max() != 9*time.Millisecond {
 		t.Errorf("min/max %v/%v", h.Min(), h.Max())
 	}
-	snap := h.Snapshot()
 	if snap.MeanUS != 4500 {
 		t.Errorf("mean %vµs, want 4500", snap.MeanUS)
 	}
@@ -98,8 +98,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count %d, want %d", h.Count(), workers*per)
+	if n := h.Snapshot().Count; n != workers*per {
+		t.Fatalf("count %d, want %d", n, workers*per)
 	}
 	if h.Min() != 0 || h.Max() != time.Duration(workers*per-1)*time.Microsecond {
 		t.Errorf("min/max %v/%v", h.Min(), h.Max())

@@ -59,35 +59,6 @@ type Report struct {
 	Experiments []Experiment `json:"experiments"`
 }
 
-// TotalDrives sums the drives simulated across all experiments.
-func (r Report) TotalDrives() int64 {
-	var n int64
-	for _, e := range r.Experiments {
-		n += e.Drives
-	}
-	return n
-}
-
-// TotalHOEvents sums the handover events processed across all experiments.
-func (r Report) TotalHOEvents() int64 {
-	var n int64
-	for _, e := range r.Experiments {
-		n += e.HOEvents
-	}
-	return n
-}
-
-// Failed counts experiments that errored (skipped ones excluded).
-func (r Report) Failed() int {
-	n := 0
-	for _, e := range r.Experiments {
-		if e.Err != "" && !e.Skipped {
-			n++
-		}
-	}
-	return n
-}
-
 // Marshal renders the report as indented JSON.
 func (r Report) Marshal() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")

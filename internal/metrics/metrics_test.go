@@ -41,24 +41,6 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReportAggregates(t *testing.T) {
-	r := Report{Experiments: []Experiment{
-		{Drives: 3, HOEvents: 40},
-		{Drives: 2, HOEvents: 2},
-		{Err: "boom"},
-		{Err: "context canceled", Skipped: true},
-	}}
-	if got := r.TotalDrives(); got != 5 {
-		t.Errorf("TotalDrives = %d, want 5", got)
-	}
-	if got := r.TotalHOEvents(); got != 42 {
-		t.Errorf("TotalHOEvents = %d, want 42", got)
-	}
-	if got := r.Failed(); got != 1 {
-		t.Errorf("Failed = %d, want 1 (skipped experiments are not failures)", got)
-	}
-}
-
 // TestProbeConcurrent exercises the atomic counters from many goroutines.
 func TestProbeConcurrent(t *testing.T) {
 	var p Probe

@@ -223,12 +223,14 @@ func TestTracerRingOverwrite(t *testing.T) {
 	if got := tr.Total(); got != 10 {
 		t.Errorf("Total() = %d, want 10", got)
 	}
-	if got := tr.Dropped(); got != 6 {
-		t.Errorf("Dropped() = %d, want 6", got)
-	}
 	evs := tr.Events()
 	if len(evs) != 4 {
 		t.Fatalf("Events() returned %d events, want 4", len(evs))
+	}
+	// Seq counts past overwrites, so the oldest survivor's seq shows how
+	// many events the ring dropped.
+	if dropped := evs[0].Seq - 1; dropped != 6 {
+		t.Errorf("oldest retained seq %d shows %d dropped events, want 6", evs[0].Seq, dropped)
 	}
 	for i, e := range evs {
 		wantSeq := uint64(7 + i)

@@ -178,16 +178,6 @@ func (t *Tracer) Total() uint64 {
 	return t.total
 }
 
-// Dropped returns how many events the ring has overwritten.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - uint64(len(t.buf))
-}
-
 // Events returns the buffered events, oldest first.
 func (t *Tracer) Events() []Event {
 	if t == nil {

@@ -2,13 +2,13 @@ package policygen
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 )
 
 // AdaptiveSpec is the policy-as-data description of a carrier's
-// prediction-driven adaptive handover controls (ROADMAP item 3 / the
-// paper's §7 "predictive preparation" and "skip-ahead" extension hooks).
+// prediction-driven adaptive handover controls (docs/ARCHITECTURE.md §The
+// closed loop; the paper's §7 "predictive preparation" and "skip-ahead"
+// extension hooks).
 // Like the event tables, it is pure data: internal/ran compiles it into a
 // live ran.AdaptiveConfig, and a nil spec means the carrier runs its
 // mobility management statically. All three controls are independently
@@ -118,39 +118,6 @@ func (s *AdaptiveSpec) Validate() error {
 		return fmt.Errorf("adaptive: negative timing parameter")
 	}
 	return nil
-}
-
-// adaptiveSalt decorrelates adaptive-spec sampling from portfolio sampling
-// (both are pure functions of (seed, index)).
-const adaptiveSalt = 0x4ad4_97e5
-
-// GenerateAdaptive samples the i-th adaptive spec of the seed's population:
-// a randomized-but-valid configuration of the three controls, for fuzzing
-// the closed loop the way Generate fuzzes static policy. Sampling draws
-// from its own salted stream, so attaching a spec to a generated portfolio
-// never perturbs the portfolio bytes existing sweeps pin.
-func GenerateAdaptive(seed int64, i int) AdaptiveSpec {
-	r := rand.New(rand.NewSource(mix(seed, i) ^ adaptiveSalt))
-	s := DefaultAdaptiveSpec()
-	s.EarlyPrep = r.Float64() < 0.8
-	s.SkipAhead = r.Float64() < 0.8
-	s.AdaptTTT = r.Float64() < 0.8
-	if !s.Enabled() {
-		// A fully-off spec is valid but uninteresting for fuzzing; keep at
-		// least the TTT loop alive.
-		s.AdaptTTT = true
-	}
-	s.MinConfidence = 0.3 + 0.4*r.Float64()
-	s.PrepCapS = 0.5 + 2.5*r.Float64()
-	s.ExecCredit = 0.2 + 0.4*r.Float64()
-	s.RelaxTTTScale = 1.5 + r.Float64()
-	s.RelaxHysteresisDB = 0.5 + r.Float64()
-	s.TightenTTTScale = 0.4 + 0.4*r.Float64()
-	s.TightenHysteresisDB = 0.5 * r.Float64()
-	s.PingPongWindowS = 3 + 4*r.Float64()
-	s.CalmAfterS = 20 + 20*r.Float64()
-	s.ReconfMinGapS = 1 + 3*r.Float64()
-	return s
 }
 
 // QuantizeTTT snaps a duration to the nearest 3GPP-enumerated

@@ -1,7 +1,6 @@
 package policygen
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -57,54 +56,6 @@ func TestAdaptiveSpecValidateRejects(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted the spec", m.name)
 		}
-	}
-}
-
-// TestPortfolioValidateChecksAdaptive pins that an attached adaptive spec is
-// part of the portfolio's validity contract.
-func TestPortfolioValidateChecksAdaptive(t *testing.T) {
-	p := Generate(7, 0)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("generated portfolio invalid: %v", err)
-	}
-	bad := DefaultAdaptiveSpec()
-	bad.ExecCredit = 2
-	p.Adaptive = &bad
-	if err := p.Validate(); err == nil {
-		t.Error("portfolio with invalid adaptive spec validated")
-	}
-	good := DefaultAdaptiveSpec()
-	p.Adaptive = &good
-	if err := p.Validate(); err != nil {
-		t.Errorf("portfolio with default adaptive spec rejected: %v", err)
-	}
-}
-
-// TestGenerateAdaptive pins the fuzzing sampler: deterministic in
-// (seed, index), always valid, always enabled, and decorrelated from the
-// static portfolio stream (attaching a spec never perturbs portfolio bytes).
-func TestGenerateAdaptive(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		s := GenerateAdaptive(42, i)
-		if err := s.Validate(); err != nil {
-			t.Fatalf("spec %d invalid: %v", i, err)
-		}
-		if !s.Enabled() {
-			t.Fatalf("spec %d fully disabled", i)
-		}
-	}
-	a, b := GenerateAdaptive(42, 3), GenerateAdaptive(42, 3)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("GenerateAdaptive not deterministic")
-	}
-	if reflect.DeepEqual(GenerateAdaptive(42, 3), GenerateAdaptive(43, 3)) {
-		t.Error("GenerateAdaptive ignores the seed")
-	}
-	p1, p2 := Generate(42, 3), Generate(42, 3)
-	p2.Adaptive = &a
-	p2.Adaptive = nil
-	if !reflect.DeepEqual(p1, p2) {
-		t.Error("attaching an adaptive spec perturbed the portfolio")
 	}
 }
 

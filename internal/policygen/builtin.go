@@ -96,11 +96,6 @@ func OpZ() Portfolio {
 	}
 }
 
-// Builtins returns the three named-carrier portfolios in the paper's order.
-func Builtins() []Portfolio {
-	return []Portfolio{OpX(), OpY(), OpZ()}
-}
-
 // BuiltinOrDefault returns the named portfolio, or the historical
 // unknown-carrier fallback: an OpX-style event table with a bare [A3]
 // decision sequence. (The fallback deliberately reproduces the pre-refactor

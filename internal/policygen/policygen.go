@@ -61,10 +61,6 @@ type Portfolio struct {
 	// fraction. The sweep runner generates topologies from it; the named
 	// fallback path (ran.PolicyFor on an unknown carrier) never reads it.
 	Deployment topology.CarrierProfile
-	// Adaptive, when set, enables the carrier's prediction-driven adaptive
-	// handover controls (ran.AdaptiveFromPortfolio compiles it); nil means
-	// the carrier's mobility management is static.
-	Adaptive *AdaptiveSpec
 }
 
 // Has reports whether the portfolio offers the given architecture.
@@ -223,9 +219,6 @@ func (p *Portfolio) Validate() error {
 			return fmt.Errorf("policygen: %s: NSA portfolio has no inter-RAT (B1/A4) event", p.Name)
 		}
 	}
-	if err := p.Adaptive.Validate(); err != nil {
-		return fmt.Errorf("policygen: %s: %w", p.Name, err)
-	}
 	if p.Has(cellular.ArchSA) {
 		if len(p.SAEvents) == 0 {
 			return fmt.Errorf("policygen: %s: SA offered but no SA event configurations", p.Name)
@@ -263,17 +256,6 @@ type Scenario struct {
 	// Drifts are applied in order; each must have a later At than the
 	// previous one.
 	Drifts []Drift
-}
-
-// ActiveAt returns the portfolio in force at sim time t.
-func (s *Scenario) ActiveAt(t time.Duration) *Portfolio {
-	active := &s.Base
-	for i := range s.Drifts {
-		if t >= s.Drifts[i].At {
-			active = &s.Drifts[i].Portfolio
-		}
-	}
-	return active
 }
 
 // Validate checks the base, every drift portfolio, and drift ordering.

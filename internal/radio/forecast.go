@@ -1,9 +1,6 @@
 package radio
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // LinearForecaster predicts future signal strength by ordinary least squares
 // over a sliding history window, exactly the "light-weight linear regression
@@ -101,16 +98,3 @@ func (f *LinearForecaster) History() []float64 { return f.hist.contents() }
 // inverse of History. When vs is longer than the window only the newest
 // window-many samples are kept.
 func (f *LinearForecaster) SetHistory(vs []float64) { f.hist.load(vs) }
-
-// MAE computes the mean absolute error between two equal-length series; it
-// is used by tests and the Fig. 14b throughput-prediction analysis.
-func MAE(pred, actual []float64) float64 {
-	if len(pred) != len(actual) || len(pred) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range pred {
-		sum += math.Abs(pred[i] - actual[i])
-	}
-	return sum / float64(len(pred))
-}

@@ -181,8 +181,9 @@ func TestSmootherValidation(t *testing.T) {
 	if s.Value() != 0 {
 		t.Error("reset did not clear")
 	}
-	if s.Window() != 3 {
-		t.Error("window accessor")
+	s.SetSamples([]float64{1, 2, 3, 4, 5})
+	if got := s.Samples(); len(got) != 3 || got[0] != 3 {
+		t.Errorf("a 3-sample window kept %v", got)
 	}
 }
 
@@ -238,18 +239,6 @@ func TestLinearForecasterConstant(t *testing.T) {
 	}
 	if got := f.Forecast(10); math.Abs(got+95) > 1e-9 {
 		t.Errorf("constant forecast = %v", got)
-	}
-}
-
-func TestMAE(t *testing.T) {
-	if got := MAE([]float64{1, 2, 3}, []float64{1, 1, 1}); math.Abs(got-1) > 1e-9 {
-		t.Errorf("MAE = %v", got)
-	}
-	if !math.IsNaN(MAE(nil, nil)) {
-		t.Error("empty MAE should be NaN")
-	}
-	if !math.IsNaN(MAE([]float64{1}, []float64{1, 2})) {
-		t.Error("mismatched MAE should be NaN")
 	}
 }
 

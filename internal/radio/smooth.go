@@ -61,6 +61,3 @@ func (s *TriangularSmoother) Samples() []float64 { return s.samples.contents() }
 // inverse of Samples. When vs is longer than the window only the newest
 // window-many samples are kept.
 func (s *TriangularSmoother) SetSamples(vs []float64) { s.samples.load(vs) }
-
-// Window returns the configured window length.
-func (s *TriangularSmoother) Window() int { return len(s.samples.buf) }

@@ -7,12 +7,13 @@ import (
 	"repro/internal/policygen"
 )
 
-// This file closes the prediction loop (ROADMAP item 3): Prognos output,
-// distilled into Forecasts, feeds an AdaptiveController that steers the
-// live carrier policy — predictive early-prep of the handover stages,
-// skip-ahead target selection, and per-UE TTT/hysteresis adaptation. The
-// controller is pure control logic over sim time: it owns no RNG and does
-// no I/O, so an adaptive drive stays a deterministic function of its seed.
+// This file closes the prediction loop (docs/ARCHITECTURE.md §The closed
+// loop): Prognos output, distilled into Forecasts, feeds an
+// AdaptiveController that steers the live carrier policy — predictive
+// early-prep of the handover stages, skip-ahead target selection, and
+// per-UE TTT/hysteresis adaptation. The controller is pure control logic
+// over sim time: it owns no RNG and does no I/O, so an adaptive drive
+// stays a deterministic function of its seed.
 
 // Forecast is one Prognos prediction distilled for RAN control: the
 // predicted handover type, a confidence in [0, 1] (pattern similarity ×
@@ -83,15 +84,6 @@ func AdaptiveFromSpec(s policygen.AdaptiveSpec) *AdaptiveConfig {
 		CalmAfter:           time.Duration(s.CalmAfterS * float64(time.Second)),
 		ReconfMinGap:        time.Duration(s.ReconfMinGapS * float64(time.Second)),
 	}
-}
-
-// AdaptiveFromPortfolio compiles the portfolio's adaptive spec (nil when
-// the carrier runs static mobility management).
-func AdaptiveFromPortfolio(p *policygen.Portfolio) *AdaptiveConfig {
-	if p == nil || p.Adaptive == nil {
-		return nil
-	}
-	return AdaptiveFromSpec(*p.Adaptive)
 }
 
 // DefaultAdaptive compiles the reference spec (all three controls on).

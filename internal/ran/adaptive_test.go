@@ -287,18 +287,9 @@ func TestAdaptEventConfigs(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFromPortfolio pins the portfolio compilation path.
-func TestAdaptiveFromPortfolio(t *testing.T) {
-	if AdaptiveFromPortfolio(nil) != nil {
-		t.Error("nil portfolio compiled to a config")
-	}
-	p := policygen.Generate(1, 0)
-	if AdaptiveFromPortfolio(&p) != nil {
-		t.Error("static portfolio compiled to a config")
-	}
-	spec := policygen.DefaultAdaptiveSpec()
-	p.Adaptive = &spec
-	cfg := AdaptiveFromPortfolio(&p)
+// TestAdaptiveFromSpec pins the spec compilation path.
+func TestAdaptiveFromSpec(t *testing.T) {
+	cfg := AdaptiveFromSpec(policygen.DefaultAdaptiveSpec())
 	if !cfg.Enabled() {
 		t.Fatal("adaptive portfolio compiled to a disabled config")
 	}

@@ -97,12 +97,6 @@ func SampleDurations(p DurationParams, rng *rand.Rand) (t1, t2 time.Duration) {
 	return t1, t2
 }
 
-// MeanTotalMS returns the mean total duration (ms) for a handover type at
-// default conditions, used by analytic sanity checks in tests.
-func MeanTotalMS(t cellular.HOType) float64 {
-	return t1Spec[t].mean + t2Spec[t].mean
-}
-
 // SignalingFor returns the handover-related signalling message counts per
 // layer for one procedure (§5.1). NSA procedures carry extra RRC traffic for
 // eNB↔gNB coordination; mmWave inflates PHY-layer counts by the beam

@@ -48,9 +48,6 @@ func NewEngine(policy *Policy) *Engine {
 	return &Engine{policy: policy, maxHistory: 16}
 }
 
-// Policy returns the engine's policy.
-func (e *Engine) Policy() *Policy { return e.policy }
-
 // SetPolicy swaps the active policy (e.g. after an architecture change).
 // History is retained: carriers keep recent MR context across
 // reconfiguration.
@@ -104,6 +101,3 @@ func (e *Engine) Begin(completeAt time.Duration) {
 	e.busyUntil = completeAt
 	e.history = e.history[:0]
 }
-
-// History returns the MR keys accumulated in the current phase.
-func (e *Engine) History() []string { return e.keys() }

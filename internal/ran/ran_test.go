@@ -128,7 +128,7 @@ func TestEngineBusy(t *testing.T) {
 	if e.Busy(time.Second) {
 		t.Error("busy after completion time")
 	}
-	if len(e.History()) == 0 {
+	if len(e.keys()) == 0 {
 		t.Error("history should accumulate during busy")
 	}
 }

@@ -27,13 +27,11 @@ type cellObs struct {
 // pendingHO is a handover in flight.
 type pendingHO struct {
 	typ       cellular.HOType
-	decidedAt time.Duration // MR arrival (start of T1)
 	cmdAt     time.Duration // HO command (start of T2)
 	endAt     time.Duration // completion (end of T2)
 	t1, t2    time.Duration
 	targetLTE *cellular.Cell
 	targetNR  *cellular.Cell
-	logged    bool
 }
 
 type state struct {
@@ -677,7 +675,7 @@ func (s *state) maybeDecide(mr cellular.MeasurementReport, p geo.Point) {
 // schedule creates the pending handover for a decision, sampling stage
 // durations and logging the HandoverEvent.
 func (s *state) schedule(dec *ran.Decision, p geo.Point) {
-	ho := &pendingHO{typ: dec.Type, decidedAt: dec.At}
+	ho := &pendingHO{typ: dec.Type}
 
 	var target *cellular.Cell
 	switch dec.Type {
@@ -810,7 +808,6 @@ func (s *state) logHO(ho *pendingHO, band cellular.Band, coloc bool) {
 		ev.SourcePCI = s.nrCell.PCI
 		ev.SourceCell = s.nrCell.GlobalID()
 	}
-	ho.logged = true
 	s.log.Handovers = append(s.log.Handovers, ev)
 	s.traceHO(ev)
 }
@@ -943,12 +940,11 @@ func (s *state) chainSCGMobility(p geo.Point) {
 
 	t1, t2 := ran.SampleDurations(ran.DurationParams{Type: typ, Band: band, CoLocated: coloc}, s.rng)
 	ho := &pendingHO{
-		typ:       typ,
-		decidedAt: s.now,
-		t1:        t1,
-		t2:        t2,
-		cmdAt:     s.now + t1,
-		targetNR:  target,
+		typ:      typ,
+		t1:       t1,
+		t2:       t2,
+		cmdAt:    s.now + t1,
+		targetNR: target,
 	}
 	ho.endAt = ho.cmdAt + t2
 	s.pending = ho

@@ -1,8 +1,6 @@
 // Package stats provides the statistical helpers the experiment harness
-// uses to regenerate the paper's tables and figures: moments, percentiles,
-// CDFs, Gaussian kernel density estimation (for the Fig. 11 coverage
-// densities), and classification metrics with the class-imbalance-robust
-// F1/precision/recall evaluation of §7.3.
+// uses to regenerate the paper's tables and figures: moments, percentiles
+// and ratios.
 package stats
 
 import (
@@ -64,20 +62,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// Min returns the smallest value (NaN for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest value (NaN for empty input).
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -90,136 +74,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64
-	P float64
-}
-
-// CDF returns the empirical cumulative distribution of xs.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
-// KDE evaluates a Gaussian kernel density estimate of xs at the given
-// evaluation points, with Silverman's rule-of-thumb bandwidth when bw <= 0.
-func KDE(xs []float64, eval []float64, bw float64) []float64 {
-	out := make([]float64, len(eval))
-	if len(xs) == 0 {
-		return out
-	}
-	if bw <= 0 {
-		sd := StdDev(xs)
-		if math.IsNaN(sd) || sd == 0 {
-			sd = 1
-		}
-		bw = 1.06 * sd * math.Pow(float64(len(xs)), -0.2)
-		if bw <= 0 {
-			bw = 1
-		}
-	}
-	norm := 1 / (bw * math.Sqrt(2*math.Pi) * float64(len(xs)))
-	for i, e := range eval {
-		d := 0.0
-		for _, x := range xs {
-			u := (e - x) / bw
-			d += math.Exp(-0.5 * u * u)
-		}
-		out[i] = d * norm
-	}
-	return out
-}
-
-// Linspace returns n evenly spaced points in [lo, hi].
-func Linspace(lo, hi float64, n int) []float64 {
-	if n <= 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
-}
-
-// Confusion accumulates multi-class prediction outcomes where one class
-// (the negative class) dominates, as in HO prediction where "no HO" covers
-// 99.6% of windows (§7.3).
-type Confusion struct {
-	// TP/FP/FN count positive-class outcomes micro-averaged across the
-	// positive classes; TN counts correct negatives.
-	TP, FP, FN, TN int
-	// Mismatch counts positive predictions with the wrong positive class
-	// (both an FP for the predicted class and an FN for the true class).
-	Mismatch int
-}
-
-// Add records one prediction. truth and pred are class labels; negative is
-// the negative class label.
-func (c *Confusion) Add(truth, pred, negative string) {
-	switch {
-	case truth == negative && pred == negative:
-		c.TN++
-	case truth == negative && pred != negative:
-		c.FP++
-	case truth != negative && pred == negative:
-		c.FN++
-	case truth == pred:
-		c.TP++
-	default:
-		c.Mismatch++
-		c.FP++
-		c.FN++
-	}
-}
-
-// Precision returns TP / (TP + FP); 0 when undefined.
-func (c *Confusion) Precision() float64 {
-	den := c.TP + c.FP
-	if den == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(den)
-}
-
-// Recall returns TP / (TP + FN); 0 when undefined.
-func (c *Confusion) Recall() float64 {
-	den := c.TP + c.FN
-	if den == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(den)
-}
-
-// F1 returns the harmonic mean of precision and recall; 0 when undefined.
-func (c *Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// Accuracy returns the fraction of correct predictions overall.
-func (c *Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.FN + c.TN - c.Mismatch // mismatches counted once
-	if total <= 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
 }
 
 // Ratio returns a/b, or NaN when b is 0; convenient for "×" comparisons in

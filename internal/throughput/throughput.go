@@ -7,7 +7,6 @@ package throughput
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/cellular"
 	"repro/internal/radio"
@@ -201,17 +200,4 @@ func (m *RTTModel) Sample(mode BearerMode, hoType cellular.HOType) float64 {
 		v *= 1.30 + 0.15*m.rng.Float64() + math.Abs(m.rng.NormFloat64())*0.12
 	}
 	return v
-}
-
-// InterruptionTime returns the expected data-plane outage for a HO given its
-// execution stage duration: the full T2 for the halted leg.
-func InterruptionTime(t cellular.HOType, t2 time.Duration, mode BearerMode) time.Duration {
-	intr := InterruptionFor(t)
-	if (mode == ModeSplit || mode == ModeSplitDirect) && !intr.LTE {
-		return 0
-	}
-	if intr.NR || intr.LTE {
-		return t2
-	}
-	return 0
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/cellular"
 )
@@ -143,21 +142,5 @@ func TestRTTModelShape(t *testing.T) {
 	scgHO := median(ModeSCG, cellular.HOSCGM)
 	if rel := scgHO/scgBase - 1; rel < 0.25 || rel > 0.80 {
 		t.Errorf("5G-only HO inflation %.1f%%, want ≈37-58%%", rel*100)
-	}
-}
-
-func TestInterruptionTime(t *testing.T) {
-	t2 := 100 * time.Millisecond
-	if got := InterruptionTime(cellular.HOSCGM, t2, ModeSplit); got != 0 {
-		t.Errorf("dual mode absorbs NR interruptions: %v", got)
-	}
-	if got := InterruptionTime(cellular.HOSCGM, t2, ModeSCG); got != t2 {
-		t.Errorf("SCG interruption = %v", got)
-	}
-	if got := InterruptionTime(cellular.HOMNBH, t2, ModeSplit); got != t2 {
-		t.Errorf("anchor HO interrupts dual mode too: %v", got)
-	}
-	if got := InterruptionTime(cellular.HONone, t2, ModeSCG); got != 0 {
-		t.Errorf("no HO, no interruption: %v", got)
 	}
 }

@@ -143,12 +143,9 @@ func CarrierByName(name string) (CarrierProfile, error) {
 
 // Deployment is a generated radio environment along a route.
 type Deployment struct {
-	Carrier CarrierProfile
-	Route   *geo.Polyline
-	Towers  []*Tower
-	Cells   []*cellular.Cell
-	// byLayer indexes cells by technology and band.
-	byLayer map[layerKey][]*cellular.Cell
+	Route  *geo.Polyline
+	Towers []*Tower
+	Cells  []*cellular.Cell
 	// byID groups cells by (tech, PCI) identity, in generation order, for
 	// O(1) PCI resolution (PCIs repeat spatially, so a group can hold more
 	// than one cell).
@@ -166,11 +163,6 @@ type Deployment struct {
 	azimuth []float64
 	// beamwidth (radians, 3 dB) per slot.
 	beamwidth []float64
-}
-
-type layerKey struct {
-	tech cellular.Tech
-	band cellular.Band
 }
 
 // idKey is a cell's (tech, PCI) identity — the typed equivalent of the
@@ -213,10 +205,8 @@ func (o Options) withDefaults() Options {
 func Generate(carrier CarrierProfile, route *geo.Polyline, rng *rand.Rand, opts Options) *Deployment {
 	opts = opts.withDefaults()
 	d := &Deployment{
-		Carrier: carrier,
-		Route:   route,
-		byLayer: make(map[layerKey][]*cellular.Cell),
-		byID:    make(map[idKey][]*cellular.Cell),
+		Route: route,
+		byID:  make(map[idKey][]*cellular.Cell),
 	}
 	nextLTEPCI := cellular.PCI(1)
 	// NR PCIs start above the LTE range (0-503) so a co-located gNB can
@@ -295,14 +285,11 @@ func (d *Deployment) genLayer(layer Layer, rng *rand.Rand, opts Options, towerID
 				X:       t.Pos.X,
 				Y:       t.Pos.Y,
 				TxPower: layer.TxPowerDBm,
-				ARFCN:   arfcnFor(layer.Band),
 			}
 			c.Index = len(d.Cells)
 			c.CacheGlobalID()
 			t.Cells = append(t.Cells, c)
 			d.Cells = append(d.Cells, c)
-			k := layerKey{layer.Tech, layer.Band}
-			d.byLayer[k] = append(d.byLayer[k], c)
 			// Sector boresights split the circle; two-sector towers point
 			// up/down the route so consecutive road segments belong to
 			// different sectors, enabling intra-tower handovers.
@@ -331,48 +318,6 @@ func (d *Deployment) genLayer(layer Layer, rng *rand.Rand, opts Options, towerID
 		s += spacing * jitter
 	}
 	return made
-}
-
-// arfcnFor returns a synthetic channel number per band, used only to make
-// log records look like the real thing.
-func arfcnFor(b cellular.Band) int {
-	switch b {
-	case cellular.BandLow:
-		return 125400
-	case cellular.BandMid:
-		return 520110
-	case cellular.BandMMWave:
-		return 2079167
-	default:
-		return 0
-	}
-}
-
-// LayerCells returns the cells of one technology+band layer.
-func (d *Deployment) LayerCells(tech cellular.Tech, band cellular.Band) []*cellular.Cell {
-	return d.byLayer[layerKey{tech, band}]
-}
-
-// TechCells returns all cells of a technology across bands.
-func (d *Deployment) TechCells(tech cellular.Tech) []*cellular.Cell {
-	var out []*cellular.Cell
-	for k, cs := range d.byLayer {
-		if k.tech == tech {
-			out = append(out, cs...)
-		}
-	}
-	return out
-}
-
-// Bands returns the deployed bands for a technology, in low→mmWave order.
-func (d *Deployment) Bands(tech cellular.Tech) []cellular.Band {
-	var out []cellular.Band
-	for _, b := range []cellular.Band{cellular.BandLow, cellular.BandMid, cellular.BandMMWave} {
-		if len(d.byLayer[layerKey{tech, b}]) > 0 {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // StateSlots returns the number of per-cell state slots in the deployment:
@@ -412,20 +357,6 @@ func (d *Deployment) SectorGainDB(c *cellular.Cell, p geo.Point) float64 {
 		g = -20
 	}
 	return g
-}
-
-// CoLocatedPCI reports whether an NR cell shares its tower (and PCI) with an
-// LTE cell, the ground truth behind the §6.3 analysis.
-func (d *Deployment) CoLocatedPCI(nr *cellular.Cell) bool {
-	if nr.Tech != cellular.TechNR {
-		return false
-	}
-	for _, c := range d.Cells {
-		if c.Tech == cellular.TechLTE && c.TowerID == nr.TowerID {
-			return true
-		}
-	}
-	return false
 }
 
 // angleDiff returns the signed smallest difference a-b in (-π, π].

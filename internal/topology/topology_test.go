@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cellular"
@@ -59,27 +60,35 @@ func TestGenerateLayers(t *testing.T) {
 	if len(d.Cells) == 0 || len(d.Towers) == 0 {
 		t.Fatal("empty deployment")
 	}
-	if len(d.LayerCells(cellular.TechLTE, cellular.BandMid)) == 0 {
+	if len(cellsOf(d, cellular.TechLTE, cellular.BandMid)) == 0 {
 		t.Error("no LTE mid cells")
 	}
-	if len(d.LayerCells(cellular.TechNR, cellular.BandLow)) == 0 {
+	if len(cellsOf(d, cellular.TechNR, cellular.BandLow)) == 0 {
 		t.Error("no NR low cells")
 	}
-	if len(d.LayerCells(cellular.TechNR, cellular.BandMMWave)) == 0 {
+	if len(cellsOf(d, cellular.TechNR, cellular.BandMMWave)) == 0 {
 		t.Error("no mmWave cells")
 	}
-	bands := d.Bands(cellular.TechNR)
-	if len(bands) != 2 {
-		t.Errorf("OpX NR bands = %v", bands)
+	if len(cellsOf(d, cellular.TechNR, cellular.BandMid)) != 0 {
+		t.Error("OpX deploys no mid-band NR")
 	}
-	if got := len(d.TechCells(cellular.TechNR)); got == 0 {
-		t.Error("TechCells empty")
+}
+
+// cellsOf returns the deployment's cells of one technology, restricted to
+// the given bands when any are given.
+func cellsOf(d *Deployment, tech cellular.Tech, bands ...cellular.Band) []*cellular.Cell {
+	var out []*cellular.Cell
+	for _, c := range d.Cells {
+		if c.Tech == tech && (len(bands) == 0 || slices.Contains(bands, c.Band)) {
+			out = append(out, c)
+		}
 	}
+	return out
 }
 
 func TestSkipMMWave(t *testing.T) {
 	d := genOpX(t, 2, Options{SkipMMWave: true})
-	if len(d.LayerCells(cellular.TechNR, cellular.BandMMWave)) != 0 {
+	if len(cellsOf(d, cellular.TechNR, cellular.BandMMWave)) != 0 {
 		t.Error("mmWave cells present despite SkipMMWave")
 	}
 }
@@ -88,7 +97,7 @@ func TestSpacingRoughlyHonoured(t *testing.T) {
 	d := genOpX(t, 3, Options{SkipMMWave: true})
 	// Count LTE mid towers: ~30 km / 1.2 km ≈ 25.
 	seen := map[int]bool{}
-	for _, c := range d.LayerCells(cellular.TechLTE, cellular.BandMid) {
+	for _, c := range cellsOf(d, cellular.TechLTE, cellular.BandMid) {
 		seen[c.TowerID] = true
 	}
 	n := len(seen)
@@ -112,7 +121,7 @@ func TestCoLocationSharesTowerAndPCI(t *testing.T) {
 			lteByTower[cell.TowerID] = append(lteByTower[cell.TowerID], cell)
 		}
 	}
-	nrCells := d.TechCells(cellular.TechNR)
+	nrCells := cellsOf(d, cellular.TechNR)
 	if len(nrCells) == 0 {
 		t.Fatal("no NR cells")
 	}
@@ -131,9 +140,6 @@ func TestCoLocationSharesTowerAndPCI(t *testing.T) {
 		if !found {
 			t.Fatalf("co-located NR cell PCI %d not shared with eNB PCIs", nr.PCI)
 		}
-		if !d.CoLocatedPCI(nr) {
-			t.Fatal("CoLocatedPCI must report true")
-		}
 	}
 }
 
@@ -144,7 +150,7 @@ func TestNonCoLocatedPCIsDisjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	route := geo.GenFreeway(rng, 20000)
 	d := Generate(c, route, rng, Options{SkipMMWave: true})
-	for _, nr := range d.TechCells(cellular.TechNR) {
+	for _, nr := range cellsOf(d, cellular.TechNR) {
 		if nr.PCI < 504 {
 			t.Fatalf("non-co-located NR PCI %d inside the LTE range", nr.PCI)
 		}
@@ -153,7 +159,7 @@ func TestNonCoLocatedPCIsDisjoint(t *testing.T) {
 
 func TestSectorGain(t *testing.T) {
 	d := genOpX(t, 6, Options{SkipMMWave: true})
-	cells := d.LayerCells(cellular.TechNR, cellular.BandLow)
+	cells := cellsOf(d, cellular.TechNR, cellular.BandLow)
 	if len(cells) < 2 {
 		t.Fatal("need sectored NR cells")
 	}

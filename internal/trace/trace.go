@@ -1,9 +1,7 @@
 // Package trace defines the cross-layer log records emitted by the drive
 // simulator and consumed by every analysis: 20 Hz radio samples (the
 // 5G Tracker / XCAL analogue), measurement reports, handover events, and
-// throughput samples. It also provides JSONL serialisation and the
-// phase-splitting helper (MR sequence → HO command) at the heart of
-// Prognos' decision learner (§7.2).
+// throughput samples. It also writes a log as JSONL for external tools.
 package trace
 
 import (
@@ -116,43 +114,6 @@ func (l *Log) UniquePCIs(tech cellular.Tech) int {
 	return len(seen)
 }
 
-// Phase is one decision-learner unit: the measurement reports observed since
-// the previous handover, terminated by a handover command (§7.2).
-type Phase struct {
-	Reports []cellular.MeasurementReport
-	HO      cellular.HandoverEvent
-}
-
-// Pattern returns the MR-sequence key for the phase, e.g. "A2,A5".
-func (p Phase) Pattern() string {
-	s := ""
-	for i, r := range p.Reports {
-		if i > 0 {
-			s += ","
-		}
-		s += r.Key()
-	}
-	return s
-}
-
-// SplitPhases partitions a report/handover stream into phases. Reports
-// arriving after the last handover form no phase (the stream is still open).
-// Reports and handovers must each be time-ordered.
-func SplitPhases(reports []cellular.MeasurementReport, handovers []cellular.HandoverEvent) []Phase {
-	phases := make([]Phase, 0, len(handovers))
-	ri := 0
-	for _, ho := range handovers {
-		var ph Phase
-		for ri < len(reports) && reports[ri].Time <= ho.Time {
-			ph.Reports = append(ph.Reports, reports[ri])
-			ri++
-		}
-		ph.HO = ho
-		phases = append(phases, ph)
-	}
-	return phases
-}
-
 // record is the JSONL envelope: exactly one of the payload fields is set.
 type record struct {
 	Kind   string                      `json:"kind"`
@@ -194,51 +155,6 @@ func (l *Log) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a JSONL log written by Write.
-func Read(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	l := &Log{}
-	line := 0
-	for sc.Scan() {
-		line++
-		var rec record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		switch rec.Kind {
-		case "meta":
-			if rec.Meta == nil {
-				return nil, fmt.Errorf("trace: line %d: meta record missing payload", line)
-			}
-			l.Carrier = rec.Meta.Carrier
-			l.Arch = rec.Meta.Arch
-			l.RouteKind = rec.Meta.RouteKind
-		case "sample":
-			if rec.Sample == nil {
-				return nil, fmt.Errorf("trace: line %d: sample record missing payload", line)
-			}
-			l.Samples = append(l.Samples, *rec.Sample)
-		case "report":
-			if rec.Report == nil {
-				return nil, fmt.Errorf("trace: line %d: report record missing payload", line)
-			}
-			l.Reports = append(l.Reports, *rec.Report)
-		case "ho":
-			if rec.HO == nil {
-				return nil, fmt.Errorf("trace: line %d: ho record missing payload", line)
-			}
-			l.Handovers = append(l.Handovers, *rec.HO)
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown record kind %q", line, rec.Kind)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scan: %w", err)
-	}
-	return l, nil
-}
-
 // Window extracts the samples within [from, to).
 func (l *Log) Window(from, to time.Duration) []Sample {
 	var out []Sample
@@ -246,39 +162,6 @@ func (l *Log) Window(from, to time.Duration) []Sample {
 		if s.Time >= from && s.Time < to {
 			out = append(out, s)
 		}
-	}
-	return out
-}
-
-// Merge concatenates several logs (of the same carrier/arch) into one, with
-// times and odometers shifted so each log continues where the previous one
-// ended. The inputs are not modified.
-func Merge(logs ...*Log) *Log {
-	out := &Log{}
-	var tOff time.Duration
-	var dOff float64
-	for _, l := range logs {
-		if out.Carrier == "" {
-			out.Carrier = l.Carrier
-			out.Arch = l.Arch
-			out.RouteKind = l.RouteKind
-		}
-		for _, s := range l.Samples {
-			s.Time += tOff
-			s.OdometerM += dOff
-			out.Samples = append(out.Samples, s)
-		}
-		for _, r := range l.Reports {
-			r.Time += tOff
-			out.Reports = append(out.Reports, r)
-		}
-		for _, h := range l.Handovers {
-			h.Time += tOff
-			h.DistanceM += dOff
-			out.Handovers = append(out.Handovers, h)
-		}
-		tOff += l.Duration() + SamplePeriod
-		dOff += l.DistanceKM() * 1000
 	}
 	return out
 }

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -33,39 +33,34 @@ func sampleLog() *Log {
 	return l
 }
 
+// TestWriteReadRoundTrip decodes Write's JSONL back record by record: a
+// meta line, then the samples, reports and handovers in order, each equal
+// to what was written.
 func TestWriteReadRoundTrip(t *testing.T) {
 	l := sampleLog()
 	var buf bytes.Buffer
 	if err := l.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var recs []record
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var rec record
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
 	}
-	if got.Carrier != l.Carrier || got.Arch != l.Arch || got.RouteKind != l.RouteKind {
-		t.Errorf("meta mismatch: %+v", got)
+	if want := 1 + len(l.Samples) + len(l.Reports) + len(l.Handovers); len(recs) != want {
+		t.Fatalf("%d records, want %d", len(recs), want)
 	}
-	if len(got.Samples) != len(l.Samples) || len(got.Reports) != len(l.Reports) || len(got.Handovers) != len(l.Handovers) {
-		t.Fatalf("record counts differ: %d/%d/%d", len(got.Samples), len(got.Reports), len(got.Handovers))
+	if m := recs[0].Meta; recs[0].Kind != "meta" || m == nil || m.Carrier != l.Carrier || m.Arch != l.Arch || m.RouteKind != l.RouteKind {
+		t.Errorf("meta record %+v", recs[0])
 	}
-	if got.Samples[50] != l.Samples[50] {
-		t.Errorf("sample 50 mismatch:\n got %+v\nwant %+v", got.Samples[50], l.Samples[50])
+	if s := recs[1+50].Sample; s == nil || *s != l.Samples[50] {
+		t.Errorf("sample 50 mismatch:\n got %+v\nwant %+v", s, l.Samples[50])
 	}
-	if got.Handovers[1] != l.Handovers[1] {
-		t.Errorf("handover mismatch")
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not json\n")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Read(strings.NewReader(`{"kind":"unknown"}` + "\n")); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if _, err := Read(strings.NewReader(`{"kind":"sample"}` + "\n")); err == nil {
-		t.Error("missing payload accepted")
+	if h := recs[len(recs)-1].HO; h == nil || *h != l.Handovers[1] {
+		t.Errorf("handover mismatch: %+v", h)
 	}
 }
 
@@ -89,46 +84,5 @@ func TestLogAccessors(t *testing.T) {
 	empty := &Log{}
 	if empty.Duration() != 0 || empty.DistanceKM() != 0 {
 		t.Error("empty log accessors")
-	}
-}
-
-func TestSplitPhases(t *testing.T) {
-	l := sampleLog()
-	phases := SplitPhases(l.Reports, l.Handovers)
-	if len(phases) != 2 {
-		t.Fatalf("got %d phases", len(phases))
-	}
-	if phases[0].Pattern() != "A2,A3" {
-		t.Errorf("phase 0 pattern %q", phases[0].Pattern())
-	}
-	if phases[0].HO.Type != cellular.HOLTEH {
-		t.Errorf("phase 0 HO %v", phases[0].HO.Type)
-	}
-	if phases[1].Pattern() != "NR-B1" {
-		t.Errorf("phase 1 pattern %q", phases[1].Pattern())
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := sampleLog(), sampleLog()
-	m := Merge(a, b)
-	if len(m.Samples) != 200 || len(m.Handovers) != 4 {
-		t.Fatalf("merged counts: %d samples, %d HOs", len(m.Samples), len(m.Handovers))
-	}
-	// Times must be strictly increasing across the seam.
-	for i := 1; i < len(m.Samples); i++ {
-		if m.Samples[i].Time <= m.Samples[i-1].Time {
-			t.Fatalf("time went backwards at %d", i)
-		}
-	}
-	if m.Handovers[2].Time <= m.Handovers[1].Time {
-		t.Error("handover times not shifted")
-	}
-	// The second log continues exactly where the first ended.
-	if m.Samples[100].OdometerM < m.Samples[99].OdometerM {
-		t.Error("odometer went backwards across the seam")
-	}
-	if m.Samples[199].OdometerM <= m.Samples[99].OdometerM {
-		t.Error("odometer not shifted")
 	}
 }

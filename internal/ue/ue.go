@@ -75,18 +75,6 @@ func (e *MeasurementEngine) Reconfigure(configs []cellular.EventConfig) {
 	e.states = states
 }
 
-// ResetEvent clears the TTT/report state for all events of the given type
-// and technology, typically after the network acted on the report.
-func (e *MeasurementEngine) ResetEvent(t cellular.EventType, tech cellular.Tech) {
-	for i := range e.states {
-		if e.states[i].cfg.Type == t && e.states[i].cfg.Tech == tech {
-			e.states[i].heldFor = 0
-			e.states[i].reports = 0
-			e.states[i].sinceReport = 0
-		}
-	}
-}
-
 // measFor selects the measurement context an event config evaluates
 // against.
 func measFor(cfg *cellular.EventConfig, in *Input) (serving, neighbor float64, servingPCI, neighborPCI cellular.PCI, rrs cellular.RRS, ok bool) {
@@ -176,15 +164,6 @@ func (e *MeasurementEngine) Tick(in Input, dt time.Duration) []cellular.Measurem
 			NeighborRSRP: neighbor,
 			Serving:      rrs,
 		})
-	}
-	return out
-}
-
-// Configs returns the currently active event configurations.
-func (e *MeasurementEngine) Configs() []cellular.EventConfig {
-	out := make([]cellular.EventConfig, len(e.states))
-	for i, s := range e.states {
-		out[i] = s.cfg
 	}
 	return out
 }
