@@ -67,24 +67,6 @@ func TestHarmonicMeanBounds(t *testing.T) {
 	}
 }
 
-func TestHOAwarePredictor(t *testing.T) {
-	base := NewHarmonicMean(5)
-	base.Observe(100)
-	score := 1.0
-	p := &HOAware{Base: base, Score: func() float64 { return score }}
-	if got := p.Predict(); math.Abs(got-100) > 1e-9 {
-		t.Errorf("score 1 must be identity: %v", got)
-	}
-	score = 1.0 / 7
-	if got := p.Predict(); math.Abs(got-100.0/7) > 1e-9 {
-		t.Errorf("scaled prediction: %v", got)
-	}
-	score = 0 // degenerate scores are floored
-	if p.Predict() <= 0 {
-		t.Error("zero score must not zero the prediction")
-	}
-}
-
 func TestErrorTracker(t *testing.T) {
 	e := NewErrorTracker(3)
 	if e.MaxError() != 0 {

@@ -64,7 +64,9 @@ const upscaleCap = 1.25
 type ScoreAtFunc func(linkNow time.Duration) ChunkContext
 
 // PlayVoD simulates one session of the video over the emulated link with
-// the given algorithm. scoreAt may be nil (no HO correction).
+// the given algorithm. scoreAt may be nil (no HO correction); otherwise
+// each chunk's throughput prediction is multiplied by its ho_score, the
+// paper's modification to the rate-adaptation algorithms (§7.4).
 func PlayVoD(video Video, link *emu.Link, alg Algorithm, scoreAt ScoreAtFunc) (PlayResult, error) {
 	if len(video.Levels) == 0 || video.Chunks <= 0 {
 		return PlayResult{}, fmt.Errorf("abr: invalid video %+v", video)

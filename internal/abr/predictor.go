@@ -1,21 +1,13 @@
-// Package abr implements the adaptive-bitrate stack of §7.4: throughput
-// predictors (including the ho_score-corrected variants Prognos plugs
-// into), the published rate-adaptation algorithms the paper modifies (RB,
-// FESTIVE, fastMPC, robustMPC, and a ViVo-style volumetric controller), and
-// chunk-level player simulations for 16K panoramic VoD and real-time
-// volumetric streaming over the trace-driven link emulator.
+// Package abr implements the adaptive-bitrate stack of §7.4: the
+// harmonic-mean throughput predictor, the published rate-adaptation
+// algorithms the paper modifies (RB, FESTIVE, fastMPC, robustMPC, and a
+// ViVo-style volumetric controller), and chunk-level player simulations
+// for 16K panoramic VoD and real-time volumetric streaming over the
+// trace-driven link emulator. The players apply Prognos's ho_score to the
+// predicted throughput themselves.
 package abr
 
 import "math"
-
-// ThroughputPredictor estimates the next chunk's throughput from past
-// chunk-level observations.
-type ThroughputPredictor interface {
-	// Observe records the measured throughput (Mbps) of a finished chunk.
-	Observe(mbps float64)
-	// Predict returns the expected throughput (Mbps) for the next chunk.
-	Predict() float64
-}
 
 // HarmonicMean is the stock predictor used by RB/fastMPC/robustMPC: the
 // harmonic mean of the last W chunk throughputs, robust to bursts.
@@ -53,37 +45,6 @@ func (h *HarmonicMean) Predict() float64 {
 		inv += 1 / v
 	}
 	return float64(len(h.buf)) / inv
-}
-
-// ScoreSource supplies the current ho_score: the expected multiplicative
-// network-capacity change from a predicted handover (1 = no HO expected).
-// Prognos-backed sources return Prognos' live output; ground-truth sources
-// return the oracle value.
-type ScoreSource func() float64
-
-// HOAware wraps a base predictor and multiplies its output by the ho_score
-// — the paper's modification to the rate-adaptation algorithms ("we scale
-// up or down the predicted throughput by multiplying it with the ho_score
-// received from Prognos", §7.4). With no HO expected (score 1) it is
-// exactly the base predictor.
-type HOAware struct {
-	Base  ThroughputPredictor
-	Score ScoreSource
-}
-
-// Observe forwards to the base predictor.
-func (h *HOAware) Observe(mbps float64) { h.Base.Observe(mbps) }
-
-// Predict returns base prediction × ho_score.
-func (h *HOAware) Predict() float64 {
-	s := 1.0
-	if h.Score != nil {
-		s = h.Score()
-	}
-	if s <= 0 {
-		s = 0.05
-	}
-	return h.Base.Predict() * s
 }
 
 // ErrorTracker records relative prediction errors for robustMPC's

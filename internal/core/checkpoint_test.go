@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -158,5 +160,60 @@ func TestReadCheckpointRejectsWrongVersion(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(path); err == nil {
 		t.Fatal("version 0 accepted")
+	}
+}
+
+// TestSnapshotExportAllocs pins the cost and the order of the learner
+// export a server takes at every warm push: one allocation per live
+// pattern (its Seq copy) plus a constant, and the same patterns, in the
+// same order, with the same checkpoint bytes as a sort by Key().
+func TestSnapshotExportAllocs(t *testing.T) {
+	p := warmPrognos(t)
+	keys := []string{"A1", "A2", "A3", "A5", "B1"}
+	hos := []cellular.HOType{cellular.HOLTEH, cellular.HOSCGA, cellular.HOSCGM}
+	x := uint32(1)
+	for phase := 0; phase < 60; phase++ {
+		seq := make([]string, 4)
+		for i := range seq {
+			x = x*1664525 + 1013904223
+			seq[i] = keys[x>>16%uint32(len(keys))]
+		}
+		p.Learner().ObservePhase(seq, hos[phase%len(hos)])
+	}
+	_, _, _, live := p.Learner().Stats()
+	if live < 100 {
+		t.Fatalf("%d live patterns, want at least 100", live)
+	}
+
+	snap := p.Snapshot()
+	var oracle []Pattern
+	for _, pat := range p.Learner().patterns {
+		oracle = append(oracle, *pat)
+	}
+	sort.Slice(oracle, func(i, j int) bool { return oracle[i].Key() < oracle[j].Key() })
+	if !reflect.DeepEqual(snap.Learner.Patterns, oracle) {
+		t.Fatalf("export differs from the sort by Key():\n%v\nwant\n%v", snap.Learner.Patterns, oracle)
+	}
+	want := snap
+	want.Learner.Patterns = oracle
+	b1, err := EncodeCheckpoint(CheckpointFile{Version: SnapshotVersion, Carrier: "OpX", Arch: "LTE", Snapshot: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := EncodeCheckpoint(CheckpointFile{Version: SnapshotVersion, Carrier: "OpX", Arch: "LTE", Snapshot: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Error("checkpoint bytes differ from the sort by Key()")
+	}
+	// The export owns its sequences: editing one leaves the learner as it was.
+	snap.Learner.Patterns[0].Seq[0] = "edited"
+	if reflect.DeepEqual(p.Snapshot().Learner.Patterns, snap.Learner.Patterns) {
+		t.Error("the export shares a Seq with the learner")
+	}
+
+	if allocs := testing.AllocsPerRun(20, func() { p.Snapshot() }); allocs > float64(live+8) {
+		t.Errorf("Snapshot allocates %.0f times at %d live patterns, want at most %d", allocs, live, live+8)
 	}
 }

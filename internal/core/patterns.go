@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -230,15 +231,21 @@ func (l *DecisionLearner) Bootstrap(patterns []Pattern) {
 	}
 }
 
-// Patterns returns a snapshot of the current store.
+// Patterns returns a snapshot of the current store, sorted by pattern key.
+// The map is keyed by Key() and keys are unique, so sorting the keys
+// themselves gives that order without rebuilding a key per comparison.
 func (l *DecisionLearner) Patterns() []Pattern {
-	out := make([]Pattern, 0, len(l.patterns))
-	for _, p := range l.patterns {
-		cp := *p
-		cp.Seq = append([]string(nil), p.Seq...)
-		out = append(out, cp)
+	keys := make([]string, 0, len(l.patterns))
+	for k := range l.patterns {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.Sort(keys)
+	out := make([]Pattern, len(keys))
+	for i, k := range keys {
+		p := l.patterns[k]
+		out[i] = *p
+		out[i].Seq = append([]string(nil), p.Seq...)
+	}
 	return out
 }
 

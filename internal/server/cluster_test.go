@@ -166,6 +166,11 @@ func TestDrainMigratesWarmState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The cut parks the session at the samples served so far: wait until
+	// the owner has served all n, or the parked cursor trails n.
+	waitFor(t, "the owner to serve every sample", func() bool {
+		return rig.byAddr(t, owner).Stats().Predictions == n
+	})
 
 	// Drain cuts the live session; it parks and ships to the successor.
 	ds, err := rig.byAddr(t, owner).DrainToCluster(5 * time.Second)

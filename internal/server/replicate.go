@@ -43,21 +43,13 @@ func newReplicaOutbox() *replicaOutbox {
 // own goroutine, so reading the replay buffer needs no synchronization;
 // the copy taken here is what crosses into the replication loop.
 func (o *replicaOutbox) put(h *Hello, seq int64, buf *replayBuffer) {
-	var resp []Response
-	if buf != nil {
-		tail := buf.resp
-		if len(tail) > replicaLiveTail {
-			tail = tail[len(tail)-replicaLiveTail:]
-		}
-		resp = append(resp, tail...)
-	}
 	st := cluster.SessionState{
 		Token:                  h.SessionToken,
 		Carrier:                h.Carrier,
 		Arch:                   h.Arch,
 		DisableReportPredictor: h.DisableReportPredictor,
 		Seq:                    seq,
-		Responses:              resp,
+		Responses:              buf.last(replicaLiveTail),
 		Partial:                true,
 	}
 	o.mu.Lock()

@@ -11,8 +11,8 @@ import (
 
 // replayBufCap bounds the per-session response replay buffer: a resumed
 // client can recover up to this many in-flight responses. At 20 Hz this is
-// ~51s of stream — far beyond any sane reconnect window — while costing at
-// most a few hundred KB per resumable session.
+// ~51s of stream — far beyond any sane reconnect window — while costing
+// 1024 × 64 B = 64 KB per resumable session.
 const replayBufCap = 1024
 
 // warmPushEvery is how many samples a session serves between pushes of its
@@ -27,32 +27,56 @@ type warmKey struct {
 }
 
 // replayBuffer holds the most recent responses of a resumable session, in
-// seq order ending at the session's current cursor.
+// seq order ending at the session's current cursor. It is a ring: once
+// full, a push overwrites the oldest slot, so a push costs the same at any
+// depth. Every reader takes an oldest-first copy through last.
 type replayBuffer struct {
 	max  int
 	resp []Response
+	// next is the slot the next push overwrites once the ring is full,
+	// which holds the oldest response; 0 until then.
+	next int
 }
 
 func newReplayBuffer(max int) *replayBuffer {
 	return &replayBuffer{max: max}
 }
 
-// push appends one response, dropping the oldest past the cap.
+// push appends one response, overwriting the oldest past the cap.
 func (b *replayBuffer) push(r Response) {
-	if len(b.resp) == b.max {
-		// Shift in place: the buffer stays at one allocation forever.
-		copy(b.resp, b.resp[1:])
-		b.resp[len(b.resp)-1] = r
+	if len(b.resp) < b.max {
+		b.resp = append(b.resp, r)
 		return
 	}
-	b.resp = append(b.resp, r)
+	b.resp[b.next] = r
+	if b.next++; b.next == b.max {
+		b.next = 0
+	}
+}
+
+// last returns a copy of the newest n responses, oldest first: all of
+// them when n exceeds the count, nil when there are none to copy.
+func (b *replayBuffer) last(n int) []Response {
+	if b == nil {
+		return nil
+	}
+	if n = min(n, len(b.resp)); n <= 0 {
+		return nil
+	}
+	start := b.next + len(b.resp) - n
+	if start >= len(b.resp) {
+		start -= len(b.resp)
+	}
+	out := make([]Response, 0, n)
+	out = append(out, b.resp[start:min(start+n, len(b.resp))]...)
+	return append(out, b.resp[:n-len(out)]...)
 }
 
 // clone returns a copy that shares no storage with b: a resumed session
 // pushes into its own copy, leaving the parked one for any reader still
 // shipping it.
 func (b *replayBuffer) clone() *replayBuffer {
-	return &replayBuffer{max: b.max, resp: append([]Response(nil), b.resp...)}
+	return &replayBuffer{max: b.max, resp: b.last(len(b.resp))}
 }
 
 // after returns the responses a client holding cursor last still needs,
@@ -70,7 +94,7 @@ func (b *replayBuffer) after(last, seq int64) ([]Response, bool) {
 	if b == nil || int64(len(b.resp)) < n {
 		return nil, false
 	}
-	return b.resp[int64(len(b.resp))-n:], true
+	return b.last(int(n)), true
 }
 
 // parkedSession is the warm state of an interrupted resumable session,

@@ -240,17 +240,13 @@ func (s *Server) shipRound(rest *cluster.Ring, sessions map[string]cluster.Sessi
 // state captures a parked session as a shippable full state, carrying the
 // learner export taken at park.
 func (p *parkedSession) state() cluster.SessionState {
-	var resp []Response
-	if p.buf != nil {
-		resp = append(resp, p.buf.resp...)
-	}
 	return cluster.SessionState{
 		Token:                  p.token,
 		Carrier:                p.carrier,
 		Arch:                   p.arch,
 		DisableReportPredictor: p.disableReportPredictor,
 		Seq:                    p.seq,
-		Responses:              resp,
+		Responses:              p.buf.last(replayBufCap),
 		Snapshot:               p.snap,
 	}
 }

@@ -80,7 +80,10 @@ const (
 
 // Simulation re-exports.
 type (
-	// DriveConfig configures one simulated drive test.
+	// DriveConfig configures one simulated drive test. Its Tracer,
+	// Scenario and Adaptive fields are hooks for code inside this module:
+	// their types live in internal packages, so callers outside the module
+	// leave them nil.
 	DriveConfig = sim.Config
 	// CarrierProfile describes an operator's deployment strategy.
 	CarrierProfile = topology.CarrierProfile

@@ -2,7 +2,8 @@
 // benchmark (perfbench/run.sh) in two checkouts, BASE and HEAD, in
 // alternating pairs on every workload BENCHMARK.json lists, prints each
 // pair's end-to-end metrics side by side, and fails when serve-path
-// throughput or simulator speed at HEAD drops more than 15% below BASE.
+// throughput or simulator speed at HEAD drops more than 15% below BASE, or
+// when serve-path p99 latency at HEAD grows past 1.5 times BASE's.
 //
 // Usage:
 //
@@ -21,9 +22,11 @@
 // the interquartile range of BASE's runs as a fraction of their median.
 //
 // It exits non-zero when a run exits non-zero, reports correct:false or
-// reports failed>0, and when a median head/base is below 0.85 on a gated
-// pair: predictions_per_s on serve_closed or cluster_repl, or sim_km_per_s
-// on offline_repro. Nothing else gates.
+// reports failed>0; when a median head/base is below 0.85 on a throughput
+// gate: predictions_per_s on serve_closed or cluster_repl, or sim_km_per_s
+// on offline_repro; and when a median head/base is above 1.5 on a tail
+// gate: latency_p99_ms on serve_closed or cluster_repl. A median that is
+// not a number fails either kind. Nothing else gates.
 package main
 
 import (
@@ -43,9 +46,11 @@ import (
 const (
 	// seeds is the number of pairs per workload (seeds 1..seeds).
 	seeds = 5
-	// gateRatio is the lowest median head/base a gated pair may keep: the
-	// old nightly gate's −15% bound on serve-path predictions/s.
+	// gateRatio is the lowest median head/base a throughput gate may keep:
+	// the old nightly gate's −15% bound on serve-path predictions/s.
 	gateRatio = 0.85
+	// tailRatio is the highest median head/base a tail gate may reach.
+	tailRatio = 1.5
 )
 
 // gate is one gated (workload, metric) pair.
@@ -59,6 +64,14 @@ var gates = []gate{
 	{"serve_closed", "predictions_per_s"},
 	{"cluster_repl", "predictions_per_s"},
 	{"offline_repro", "sim_km_per_s"},
+}
+
+// tailGates are the pairs held to tailRatio: serve-path p99 latency. A
+// stall in the session loop can make it several times worse while
+// throughput stays inside gateRatio.
+var tailGates = []gate{
+	{"serve_closed", "latency_p99_ms"},
+	{"cluster_repl", "latency_p99_ms"},
 }
 
 // benchmark is the part of BENCHMARK.json the gate reads.
@@ -124,21 +137,32 @@ func run(base, head string, out io.Writer) error {
 			med, won, spread := summarize(vals[m.Name], m.Better == "higher")
 			fmt.Fprintf(out, "summary %-14s %-22s median head/base %.3f, head won %d/%d, base IQR %.1f%% of median\n",
 				w.Name, m.Name, med, won, seeds, 100*spread)
-			// Written as !(>=) so that a NaN median (no base value) fails.
-			if g := (gate{w.Name, m.Name}); slices.Contains(gates, g) && !(med >= gateRatio) {
+			// Written as !(>=) and !(<=) so that a NaN median (no base
+			// value) fails.
+			g := gate{w.Name, m.Name}
+			if slices.Contains(gates, g) && !(med >= gateRatio) {
 				gateFailures = append(gateFailures, fmt.Sprintf("%s median head/base %.3f < %.2f", g, med, gateRatio))
+			}
+			if slices.Contains(tailGates, g) && !(med <= tailRatio) {
+				gateFailures = append(gateFailures, fmt.Sprintf("%s median head/base %.3f > %.2f", g, med, tailRatio))
 			}
 		}
 	}
 	if len(gateFailures) > 0 {
 		return fmt.Errorf("gate failed: %s", strings.Join(gateFailures, "; "))
 	}
-	names := make([]string, len(gates))
-	for i, g := range gates {
-		names[i] = g.String()
-	}
-	fmt.Fprintf(out, "gate passed: median head/base >= %.2f on %s\n", gateRatio, strings.Join(names, ", "))
+	fmt.Fprintf(out, "gate passed: median head/base >= %.2f on %s; <= %.2f on %s\n",
+		gateRatio, join(gates), tailRatio, join(tailGates))
 	return nil
+}
+
+// join lists gs, comma-separated.
+func join(gs []gate) string {
+	s := make([]string, len(gs))
+	for i, g := range gs {
+		s[i] = g.String()
+	}
+	return strings.Join(s, ", ")
 }
 
 // loadBenchmark reads BENCHMARK.json and checks that it still names what
@@ -162,7 +186,7 @@ func loadBenchmark(path string) (benchmark, error) {
 		}
 		names[m.Name] = true
 	}
-	for _, g := range gates {
+	for _, g := range slices.Concat(gates, tailGates) {
 		for _, n := range []string{g.workload, g.metric} {
 			if !names[n] {
 				return b, fmt.Errorf("%s does not list %s, which the gate reads", path, n)

@@ -121,6 +121,52 @@ func TestGateMedian(t *testing.T) {
 	}
 }
 
+// TestTailGate checks the tail gates: latency_p99_ms on serve_closed and
+// cluster_repl, which is better lower. A median head/base of 1.6 fails,
+// 1.4 passes, and a median that is not a number (base and head both 0)
+// fails.
+func TestTailGate(t *testing.T) {
+	for _, g := range []gate{
+		{"serve_closed", "latency_p99_ms"},
+		{"cluster_repl", "latency_p99_ms"},
+	} {
+		for _, tc := range []struct {
+			name     string
+			base     float64
+			ratio    [seeds]float64
+			wantFail string
+		}{
+			{"1.6", 1, [seeds]float64{0.8, 1.6, 3, 1.6, 1.1}, " median head/base 1.600 > 1.50"},
+			{"1.4", 1, [seeds]float64{0.8, 1.4, 3, 1.4, 1.1}, ""},
+			{"NaN", 0, [seeds]float64{1, 1, 1, 1, 1}, " median head/base NaN > 1.50"},
+		} {
+			dir := t.TempDir()
+			base := checkout(t, dir, "base", func(w string, _ int) fakeRun {
+				r := ok(1000)
+				if w == g.workload {
+					r.p99 = tc.base
+				}
+				return r
+			})
+			head := checkout(t, dir, "head", func(w string, seed int) fakeRun {
+				r := ok(1000)
+				if w == g.workload {
+					r.p99 = tc.base * tc.ratio[seed-1]
+				}
+				return r
+			})
+			var out bytes.Buffer
+			err := run(base, head, &out)
+			if gotFail := err != nil; gotFail != (tc.wantFail != "") {
+				t.Fatalf("%s head/base %s: err = %v, want failure %v\n%s", g, tc.name, err, tc.wantFail != "", out.String())
+			}
+			if err != nil && !strings.Contains(err.Error(), g.String()+tc.wantFail) {
+				t.Errorf("%s head/base %s: gate error %q does not name the pair and median", g, tc.name, err)
+			}
+		}
+	}
+}
+
 // TestGateRunFailures checks that a run exiting non-zero, reporting
 // correct:false or reporting failed>0 fails the gate, on either side,
 // even when every ratio is 1.
@@ -150,18 +196,18 @@ func TestGateRunFailures(t *testing.T) {
 	}
 }
 
-// TestUngatedMetricsNeverFail halves predictions/s on the workload where
-// it is ungated, halves sim km/s on the workloads where it is ungated, and
-// triples p99 everywhere: the gate still passes.
+// TestUngatedMetricsNeverFail halves predictions/s and triples p99 on the
+// workload where they are ungated, and halves sim km/s on the workloads
+// where it is ungated: the gate still passes.
 func TestUngatedMetricsNeverFail(t *testing.T) {
 	out, err := pair(t, func(w string, _ int) fakeRun {
 		r := ok(1000)
 		if w == "offline_repro" {
 			r.pps = 500
+			r.p99 = 3
 		} else {
 			r.kmps = 150
 		}
-		r.p99 = 3
 		return r
 	})
 	if err != nil {
@@ -169,7 +215,7 @@ func TestUngatedMetricsNeverFail(t *testing.T) {
 	}
 	for _, want := range []string{
 		"summary offline_repro  predictions_per_s      median head/base 0.500, head won 0/5",
-		"summary serve_closed   latency_p99_ms         median head/base 3.000, head won 0/5",
+		"summary offline_repro  latency_p99_ms         median head/base 3.000, head won 0/5",
 		"summary cluster_repl   sim_km_per_s           median head/base 0.500, head won 0/5",
 		"gate passed",
 	} {
@@ -233,6 +279,8 @@ func TestBenchmarkMustNameTheGate(t *testing.T) {
 		{`, {"name": "offline_repro"}`, ``},
 		{`{"name": "predictions_per_s", "better": "higher"},`, ``},
 		{`{"name": "sim_km_per_s", "better": "higher"},`, ``},
+		{`,
+    {"name": "latency_p99_ms", "better": "lower"}`, ``},
 		{`"better": "lower"`, `"better": "less"`},
 	} {
 		body := strings.Replace(fakeBenchmark, edit[0], edit[1], 1)

@@ -24,9 +24,10 @@ var keep = map[string]string{
 // TestNoUnreachableDeclarations fails on each package-level declaration of
 // the root module and perfbench/ that no program reaches and keep does not
 // name. Only non-test code counts as a caller. The roots are main and
-// init, package repro's exported API, the exported methods of the types it
-// aliases, and the methods by which a type implements an interface. It is
-// the offline stand-in for staticcheck's U1000, which exported names pass.
+// init, package repro's exported API and the exported methods of the
+// types it aliases. A type the walk reaches also keeps the methods by which
+// it implements an interface; an unreached type keeps none. It is the
+// offline stand-in for staticcheck's U1000, which exported names pass.
 func TestNoUnreachableDeclarations(t *testing.T) {
 	p := loadProgram(t, ".", "perfbench")
 	decls, byName := map[types.Object]ast.Node{}, map[string]types.Object{}
@@ -80,9 +81,25 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 			})
 		}
 	}
-	for _, obj := range append(roots, ifaceRoots(p, decls)...) {
+	// The methods by which a reached type implements an interface may
+	// reach further types: settle marks until a pass adds nothing.
+	impls := ifaceMethods(p, decls)
+	settle := func() {
+		for n := -1; n != len(live); {
+			n = len(live)
+			for tn, ms := range impls {
+				if live[tn] {
+					for _, m := range ms {
+						mark(m)
+					}
+				}
+			}
+		}
+	}
+	for _, obj := range roots {
 		mark(obj)
 	}
+	settle()
 	// Check every keep entry before marking any: one may reach another.
 	for key := range keep {
 		if byName[key] == nil || live[byName[key]] {
@@ -92,6 +109,7 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 	for key := range keep {
 		mark(byName[key])
 	}
+	settle()
 	for obj, node := range decls {
 		if !live[obj] {
 			t.Errorf("%s: %s is reachable from no program", p.fset.Position(node.Pos()), name(obj))
@@ -99,10 +117,10 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 	}
 }
 
-// ifaceRoots returns the methods by which a module type implements an
-// interface: a named one of any package the program loads, or an
-// interface literal in the module's code.
-func ifaceRoots(p *program, decls map[types.Object]ast.Node) (roots []types.Object) {
+// ifaceMethods returns, for each module type, the methods by which it
+// implements an interface: a named one of any package the program loads,
+// or an interface literal in the module's code.
+func ifaceMethods(p *program, decls map[types.Object]ast.Node) map[types.Object][]types.Object {
 	ifaces := map[*types.Interface]bool{}
 	for _, tv := range p.info.Types {
 		if it, ok := tv.Type.(*types.Interface); ok {
@@ -127,6 +145,7 @@ func ifaceRoots(p *program, decls map[types.Object]ast.Node) (roots []types.Obje
 	for _, pkg := range p.pkgs {
 		visit(pkg)
 	}
+	impls := map[types.Object][]types.Object{}
 	for obj := range decls {
 		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() && tn.Type().(*types.Named).TypeParams().Len() == 0 {
 			ptr := types.NewPointer(tn.Type())
@@ -136,12 +155,12 @@ func ifaceRoots(p *program, decls map[types.Object]ast.Node) (roots []types.Obje
 				}
 				for i := 0; i < it.NumMethods(); i++ {
 					m, _, _ := types.LookupFieldOrMethod(ptr, false, it.Method(i).Pkg(), it.Method(i).Name())
-					roots = append(roots, m)
+					impls[tn] = append(impls[tn], m)
 				}
 			}
 		}
 	}
-	return roots
+	return impls
 }
 
 // name is a declaration's package path and name, with the receiver for a
