@@ -65,6 +65,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/fleet"
 	"repro/internal/geo"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -186,16 +187,20 @@ func main() {
 			rep.ChaosSeed, rep.ChaosFaults, rep.Reconnects, rep.ResumedSessions, rep.ColdResumes, rep.LostSamples)
 	}
 	if rep.ClusterSize > 0 {
+		var srv metrics.ServerSnapshot // zero when no member answered the stats fetch
+		if rep.Server != nil {
+			srv = *rep.Server
+		}
 		fmt.Printf("cluster: %d nodes  restarts %d  migrated %d sessions (%d bytes)  redirects %d  warm-resume %.2f  lost samples %d\n",
-			rep.ClusterSize, rep.RollingRestarts, rep.MigratedSessions, rep.MigrationBytes,
+			rep.ClusterSize, rep.RollingRestarts, srv.MigratedOut, srv.MigrationBytesOut,
 			rep.Redirects, rep.WarmResumeRatio, rep.LostSamples)
 		for _, n := range rep.PerNode {
 			fmt.Printf("  node %s: sessions %d  samples %d  restarts %d  migrated out/in %d/%d  resumed %d\n",
 				n.Addr, n.Sessions, n.Samples, n.Restarts, n.MigratedOut, n.MigratedIn, n.Resumed)
 		}
-		if rep.NodeKills > 0 || rep.Failovers > 0 {
+		if rep.NodeKills > 0 || srv.Failovers > 0 {
 			fmt.Printf("crash: kills %d  failovers %d  replication pushes %d (%d bytes)  reconnects %d  resumed %d  cold %d\n",
-				rep.NodeKills, rep.Failovers, rep.ReplicationPushes, rep.ReplicationBytes,
+				rep.NodeKills, srv.Failovers, srv.ReplicationPushes, srv.ReplicationBytesOut,
 				rep.Reconnects, rep.ResumedSessions, rep.ColdResumes)
 		}
 	}

@@ -9,57 +9,32 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/policygen"
 )
-
-// holoopArgs carries the holoop-mode flag values.
-type holoopArgs struct {
-	seed         int64
-	ues          int
-	jobs         int
-	driveSeconds float64
-	gate         bool
-	f1Epsilon    float64
-	earlyPrep    bool
-	skipAhead    bool
-	adaptTTT     bool
-	report       string
-}
 
 // runHOLoop executes the adaptive-vs-static closed-loop comparison and, under
 // -gate, enforces the CI acceptance bar: the adaptive arm must show a lower
 // ping-pong rate than the static arm while keeping its event-level F1 within
 // f1Epsilon of the static (offline-replay) baseline. Stdout and the JSON
 // report are byte-identical at any -jobs value.
-func runHOLoop(a holoopArgs) int {
+func runHOLoop(cfg experiments.HOLoopConfig, reportPath string, gate bool, f1Epsilon float64) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "vivisect: holoop: %v\n", err)
 		return 1
 	}
-	spec := policygen.DefaultAdaptiveSpec()
-	spec.EarlyPrep = a.earlyPrep
-	spec.SkipAhead = a.skipAhead
-	spec.AdaptTTT = a.adaptTTT
 
 	start := time.Now()
 	var done atomic.Int64
-	rep, err := experiments.RunHOLoop(context.Background(), experiments.HOLoopConfig{
-		UEs:          a.ues,
-		Seed:         a.seed,
-		Jobs:         a.jobs,
-		DriveSeconds: a.driveSeconds,
-		Adaptive:     spec,
-		OnUE: func(u metrics.HOLoopUE) {
-			n := done.Add(1)
-			if u.Error != "" {
-				fmt.Fprintf(os.Stderr, "[%d/%d] ue%03d FAILED: %s\n", n, a.ues, u.Index, u.Error)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] ue%03d pp %d->%d preps=%d skips=%d reconf=%d\n",
-				n, a.ues, u.Index, u.Static.PingPongs, u.Adaptive.PingPongs,
-				u.EarlyPreps, u.SkipAheads, u.Reconfigs)
-		},
-	})
+	cfg.OnUE = func(u metrics.HOLoopUE) {
+		n := done.Add(1)
+		if u.Error != "" {
+			fmt.Fprintf(os.Stderr, "[%d/%d] ue%03d FAILED: %s\n", n, cfg.UEs, u.Index, u.Error)
+			return
+		}
+		fmt.Fprintf(os.Stderr, "[%d/%d] ue%03d pp %d->%d preps=%d skips=%d reconf=%d\n",
+			n, cfg.UEs, u.Index, u.Static.PingPongs, u.Adaptive.PingPongs,
+			u.EarlyPreps, u.SkipAheads, u.Reconfigs)
+	}
+	rep, err := experiments.RunHOLoop(context.Background(), cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -85,32 +60,32 @@ func runHOLoop(a holoopArgs) int {
 	}
 	fmt.Fprintf(os.Stderr, "holoop: %d UE pairs in %v wall\n", s.UEs, wall.Round(time.Millisecond))
 
-	if a.report != "" {
-		if err := rep.WriteFile(a.report); err != nil {
+	if reportPath != "" {
+		if err := metrics.WriteJSON(reportPath, rep); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "holoop report written to %s\n", a.report)
+		fmt.Fprintf(os.Stderr, "holoop report written to %s\n", reportPath)
 	}
 	if s.Errors > 0 {
 		return 1
 	}
-	if a.gate {
+	if gate {
 		ok := true
 		if s.AdaptivePingPongRate >= s.StaticPingPongRate {
 			fmt.Fprintf(os.Stderr, "holoop: GATE FAIL: adaptive ping-pong rate %.4f not below static %.4f\n",
 				s.AdaptivePingPongRate, s.StaticPingPongRate)
 			ok = false
 		}
-		if s.AdaptiveF1 < s.StaticF1-a.f1Epsilon {
+		if s.AdaptiveF1 < s.StaticF1-f1Epsilon {
 			fmt.Fprintf(os.Stderr, "holoop: GATE FAIL: adaptive F1 %.3f below static %.3f - epsilon %.3f\n",
-				s.AdaptiveF1, s.StaticF1, a.f1Epsilon)
+				s.AdaptiveF1, s.StaticF1, f1Epsilon)
 			ok = false
 		}
 		if !ok {
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "holoop: gate OK (ping-pong %.4f < %.4f, F1 within %.3f)\n",
-			s.AdaptivePingPongRate, s.StaticPingPongRate, a.f1Epsilon)
+			s.AdaptivePingPongRate, s.StaticPingPongRate, f1Epsilon)
 	}
 	return 0
 }

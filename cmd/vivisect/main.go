@@ -63,7 +63,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,6 +71,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/ran"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -135,18 +135,17 @@ func main() {
 	case "trace":
 		os.Exit(runTrace(*seed, *carrier, *archName, *routeName, *lengthM, *traceFile))
 	case "sweep":
-		os.Exit(runSweep(sweepArgs{
-			seed: *seed, carriers: *carriers, drift: *drift, jobs: *jobs,
-			driveSeconds: *driveSeconds, f1Threshold: *f1Threshold,
-			report: *report, opsAddr: *opsAddr,
-		}))
+		os.Exit(runSweep(experiments.SweepConfig{
+			Carriers: *carriers, Seed: *seed, Drift: *drift, Jobs: *jobs,
+			DriveSeconds: *driveSeconds, F1Threshold: *f1Threshold,
+		}, *report, *opsAddr))
 	case "holoop":
-		os.Exit(runHOLoop(holoopArgs{
-			seed: *seed, ues: *ues, jobs: *jobs, driveSeconds: *driveSeconds,
-			gate: *gate, f1Epsilon: *f1Epsilon,
-			earlyPrep: *earlyPrep, skipAhead: *skipAhead, adaptTTT: *adaptTTT,
-			report: *report,
-		}))
+		adaptive := *ran.DefaultAdaptive()
+		adaptive.EarlyPrep, adaptive.SkipAhead, adaptive.AdaptTTT = *earlyPrep, *skipAhead, *adaptTTT
+		os.Exit(runHOLoop(experiments.HOLoopConfig{
+			UEs: *ues, Seed: *seed, Jobs: *jobs, DriveSeconds: *driveSeconds,
+			Adaptive: adaptive,
+		}, *report, *gate, *f1Epsilon))
 	case "all":
 		specs = experiments.All()
 	default:
@@ -237,32 +236,22 @@ func runTrace(seed int64, carrierName, archName, routeName string, lengthM float
 	return 0
 }
 
-// sweepArgs carries the sweep-mode flag values.
-type sweepArgs struct {
-	seed         int64
-	carriers     int
-	drift        bool
-	jobs         int
-	driveSeconds float64
-	f1Threshold  float64
-	report       string
-	opsAddr      string
-}
-
 // runSweep executes a carrier-policy portfolio sweep: generate a seeded
 // population, drive each carrier under an online learner, and report the
 // convergence statistics. The JSON report (and the stdout summary) are
-// byte-identical at any -jobs value.
-func runSweep(a sweepArgs) int {
+// byte-identical at any -jobs value. With opsAddr set, the ops plane
+// serves the sweep's progress while it runs.
+func runSweep(cfg experiments.SweepConfig, reportPath, opsAddr string) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "vivisect: sweep: %v\n", err)
 		return 1
 	}
 	var stats metrics.SweepStats
-	if a.opsAddr != "" {
+	stats.Start(cfg.Carriers)
+	if opsAddr != "" {
 		reg := obs.NewRegistry()
 		obs.RegisterSweepMetrics(reg, stats.Snapshot)
-		plane, err := obs.Listen(a.opsAddr, obs.Config{Registry: reg})
+		plane, err := obs.Listen(opsAddr, obs.Config{Registry: reg})
 		if err != nil {
 			return fail(err)
 		}
@@ -272,26 +261,19 @@ func runSweep(a sweepArgs) int {
 
 	start := time.Now()
 	var done atomic.Int64
-	rep, err := experiments.RunSweep(context.Background(), experiments.SweepConfig{
-		Carriers:     a.carriers,
-		Seed:         a.seed,
-		Drift:        a.drift,
-		Jobs:         a.jobs,
-		DriveSeconds: a.driveSeconds,
-		F1Threshold:  a.f1Threshold,
-		Stats:        &stats,
-		OnCarrier: func(c metrics.SweepCarrier) {
-			n := done.Add(1)
-			status := "converged"
-			switch {
-			case c.Error != "":
-				status = "FAILED: " + c.Error
-			case !c.Converged:
-				status = "did not converge"
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", n, a.carriers, c.Name, status)
-		},
-	})
+	cfg.OnCarrier = func(c metrics.SweepCarrier) {
+		stats.Observe(c)
+		n := done.Add(1)
+		status := "converged"
+		switch {
+		case c.Error != "":
+			status = "FAILED: " + c.Error
+		case !c.Converged:
+			status = "did not converge"
+		}
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", n, cfg.Carriers, c.Name, status)
+	}
+	rep, err := experiments.RunSweep(context.Background(), cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -313,11 +295,11 @@ func runSweep(a sweepArgs) int {
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d carriers in %v wall\n", s.Carriers, wall.Round(time.Millisecond))
 
-	if a.report != "" {
-		if err := rep.WriteFile(a.report); err != nil {
+	if reportPath != "" {
+		if err := metrics.WriteJSON(reportPath, rep); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "sweep report written to %s\n", a.report)
+		fmt.Fprintf(os.Stderr, "sweep report written to %s\n", reportPath)
 	}
 	if s.Errors > 0 {
 		return 1
@@ -366,30 +348,25 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 // run executes the batch and prints tables (stdout), progress and summary
 // (stderr). It returns the process exit code.
 func run(specs []experiments.Spec, opts experiments.Options, jobs int, failfast bool, reportPath string) int {
-	events := make(chan experiments.Event)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ev := range events {
-			switch {
-			case ev.Skipped:
-				fmt.Fprintf(os.Stderr, "[%d/%d] %-8s skipped\n", ev.Done, ev.Total, ev.ID)
-			case ev.Err != nil:
-				fmt.Fprintf(os.Stderr, "[%d/%d] %-8s FAILED: %v\n", ev.Done, ev.Total, ev.ID, ev.Err)
-			default:
-				fmt.Fprintf(os.Stderr, "[%d/%d] %-8s ok  %8s  %3d rows  (%s)\n",
-					ev.Done, ev.Total, ev.ID, ev.Duration.Round(time.Millisecond), ev.Rows, ev.Paper)
-			}
+	var done atomic.Int64
+	progress := func(res experiments.Result) {
+		n, id := done.Add(1), res.Spec.ID
+		switch {
+		case res.Skipped:
+			fmt.Fprintf(os.Stderr, "[%d/%d] %-8s skipped\n", n, len(specs), id)
+		case res.Err != nil:
+			fmt.Fprintf(os.Stderr, "[%d/%d] %-8s FAILED: %v\n", n, len(specs), id, res.Err)
+		default:
+			wall := time.Duration(res.Metrics.WallMS * float64(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "[%d/%d] %-8s ok  %8s  %3d rows  (%s)\n",
+				n, len(specs), id, wall.Round(time.Millisecond), res.Metrics.Rows, res.Spec.Paper)
 		}
-	}()
+	}
 
-	r := experiments.Runner{Jobs: jobs, Options: opts, FailFast: failfast, Events: events}
+	r := experiments.Runner{Jobs: jobs, Options: opts, FailFast: failfast, OnResult: progress}
 	start := time.Now()
 	results, err := r.Run(context.Background(), specs)
 	wall := time.Since(start)
-	close(events)
-	wg.Wait()
 
 	// Tables in spec order: stdout stays byte-identical across -jobs.
 	for _, res := range results {
@@ -405,7 +382,7 @@ func run(specs []experiments.Spec, opts experiments.Options, jobs int, failfast 
 
 	if reportPath != "" {
 		rep := experiments.BuildReport(opts, jobs, wall, results)
-		if werr := rep.WriteFile(reportPath); werr != nil {
+		if werr := metrics.WriteJSON(reportPath, rep); werr != nil {
 			fmt.Fprintf(os.Stderr, "vivisect: %v\n", werr)
 			return 1
 		}

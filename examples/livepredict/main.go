@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -36,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	client, err := server.Dial(srv.Addr(), server.Hello{Carrier: "OpX", Arch: repro.ArchNSA})
+	client, err := server.Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: repro.ArchNSA})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,10 +41,10 @@ type HOLoopConfig struct {
 	// WindowSeconds the prediction-window match tolerance (default 1).
 	DriveSeconds  float64
 	WindowSeconds float64
-	// Adaptive is the spec compiled into the adaptive arm's controller
-	// (zero value ⇒ policygen.DefaultAdaptiveSpec). Its PingPongWindowS
-	// also defines the ping-pong critical window for both arms' metrics.
-	Adaptive policygen.AdaptiveSpec
+	// Adaptive configures the adaptive arm's controller (zero value ⇒
+	// ran.DefaultAdaptive). Its PingPongWindow also defines the ping-pong
+	// critical window for both arms' metrics.
+	Adaptive ran.AdaptiveConfig
 	// OnUE, when set, is invoked for each finished UE from whatever worker
 	// ran it (concurrently under Jobs > 1).
 	OnUE func(metrics.HOLoopUE)
@@ -70,7 +70,7 @@ func (c HOLoopConfig) withDefaults() HOLoopConfig {
 		c.WindowSeconds = 1
 	}
 	if !c.Adaptive.Enabled() && c.Adaptive.MinConfidence == 0 {
-		c.Adaptive = policygen.DefaultAdaptiveSpec()
+		c.Adaptive = *ran.DefaultAdaptive()
 	}
 	return c
 }
@@ -78,7 +78,7 @@ func (c HOLoopConfig) withDefaults() HOLoopConfig {
 // RunHOLoop fans UEs across Jobs workers, driving each twice (static and
 // adaptive arm), and returns the assembled comparison report. Per-UE
 // failures land in the UE's Error field; RunHOLoop itself only errors on
-// context cancellation or an invalid adaptive spec. Results are ordered by
+// context cancellation or an invalid adaptive config. Results are ordered by
 // UE index and the report bytes are independent of Jobs.
 func RunHOLoop(ctx context.Context, cfg HOLoopConfig) (metrics.HOLoopReport, error) {
 	cfg = cfg.withDefaults()
@@ -88,7 +88,7 @@ func RunHOLoop(ctx context.Context, cfg HOLoopConfig) (metrics.HOLoopReport, err
 		Carrier:         cfg.Carrier.Name,
 		Arch:            cfg.Arch.String(),
 		DriveSeconds:    cfg.DriveSeconds,
-		PingPongWindowS: cfg.Adaptive.PingPongWindowS,
+		PingPongWindowS: cfg.Adaptive.PingPongWindow.Seconds(),
 		WindowSeconds:   cfg.WindowSeconds,
 		EarlyPrep:       cfg.Adaptive.EarlyPrep,
 		SkipAhead:       cfg.Adaptive.SkipAhead,
@@ -139,7 +139,6 @@ func runHOLoopUE(cfg HOLoopConfig, i int) metrics.HOLoopUE {
 		TopoOpts:     topology.Options{CityDensity: sweepCityDensity},
 	}
 	window := time.Duration(cfg.WindowSeconds * float64(time.Second))
-	ppWindow := time.Duration(cfg.Adaptive.PingPongWindowS * float64(time.Second))
 
 	// Static arm: plain drive, forecast quality measured by offline replay
 	// of the same predictor the adaptive arm embeds.
@@ -148,7 +147,7 @@ func runHOLoopUE(cfg HOLoopConfig, i int) metrics.HOLoopUE {
 		out.Error = fmt.Sprintf("static sim: %v", err)
 		return out
 	}
-	out.Static = armMetrics(staticLog, ppWindow)
+	out.Static = armMetrics(staticLog, cfg.Adaptive.PingPongWindow)
 	configs := ran.EventConfigsFor(cfg.Carrier.Name, cfg.Arch)
 	prog, err := core.New(core.Config{
 		EventConfigs:       configs,
@@ -164,13 +163,14 @@ func runHOLoopUE(cfg HOLoopConfig, i int) metrics.HOLoopUE {
 
 	// Adaptive arm: same seed, predictor in the loop.
 	acfg := base
-	acfg.Adaptive = ran.AdaptiveFromSpec(cfg.Adaptive)
+	adaptive := cfg.Adaptive // each drive owns its controller's config
+	acfg.Adaptive = &adaptive
 	adaptLog, loop, err := sim.RunClosedLoop(acfg)
 	if err != nil {
 		out.Error = fmt.Sprintf("adaptive sim: %v", err)
 		return out
 	}
-	out.Adaptive = armMetrics(adaptLog, ppWindow)
+	out.Adaptive = armMetrics(adaptLog, cfg.Adaptive.PingPongWindow)
 	fillOutcome(&out.Adaptive, loop.Ticks, adaptLog.Handovers, window)
 	out.EarlyPreps = loop.Stats.EarlyPreps
 	out.SkipAheads = loop.Stats.SkipAheads

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"sync/atomic"
 	"testing"
 
@@ -31,11 +32,11 @@ func TestRunHOLoopDeterministicAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := seq.Marshal()
+	a, err := json.MarshalIndent(seq, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.Marshal()
+	b, err := json.MarshalIndent(par, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +96,20 @@ func TestRunHOLoopReducesPingPong(t *testing.T) {
 	}
 }
 
-// TestRunHOLoopValidation pins the error paths: an invalid spec and a
-// fully-disabled spec both refuse to run, and a cancelled context aborts.
+// TestRunHOLoopValidation pins the error paths: an invalid config and a
+// fully-disabled config both refuse to run, and a cancelled context aborts.
 func TestRunHOLoopValidation(t *testing.T) {
 	bad := HOLoopConfig{UEs: 1, Seed: 1}
 	bad.Adaptive.MinConfidence = 2
 	bad.Adaptive.AdaptTTT = true
 	if _, err := RunHOLoop(context.Background(), bad); err == nil {
-		t.Error("invalid spec accepted")
+		t.Error("invalid config accepted")
 	}
 
 	off := HOLoopConfig{UEs: 1, Seed: 1}
-	off.Adaptive.MinConfidence = 0.4 // non-zero spec, but no control enabled
+	off.Adaptive.MinConfidence = 0.4 // non-zero config, but no control enabled
 	if _, err := RunHOLoop(context.Background(), off); err == nil {
-		t.Error("all-off spec accepted")
+		t.Error("all-off config accepted")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -10,29 +10,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// Event is one completion notice streamed by Runner.Run while a batch is
-// executing: enough for a live progress line without waiting for the whole
-// run to finish. Events arrive in completion order, which under -jobs N is
-// generally not registry order.
-type Event struct {
-	// ID and Paper identify the finished experiment.
-	ID    string
-	Paper string
-	// Done is how many specs have finished (including this one) out of
-	// Total.
-	Done  int
-	Total int
-	// Duration is the experiment's wall-clock time (zero when skipped).
-	Duration time.Duration
-	// Rows counts the rendered table rows produced.
-	Rows int
-	// Err is the experiment's failure, nil on success.
-	Err error
-	// Skipped marks specs cancelled before they started (fail-fast or
-	// context cancellation).
-	Skipped bool
-}
-
 // Result pairs a spec with its output table and run metrics. Runner.Run
 // returns results in spec order regardless of completion order, so callers
 // can render parallel runs byte-identically to sequential ones.
@@ -67,10 +44,10 @@ type Runner struct {
 	// Experiments already in flight run to completion (specs take no
 	// context), so cancellation is between experiments, not within one.
 	FailFast bool
-	// Events, when non-nil, receives one Event per spec as it completes.
-	// Run blocks sending on it and does not close it; the caller must
-	// drain the channel until Run returns.
-	Events chan<- Event
+	// OnResult, when set, is invoked once per spec as it completes, from
+	// whatever worker ran it (concurrently under Jobs > 1, in completion
+	// order rather than spec order).
+	OnResult func(Result)
 }
 
 // Run executes specs and returns one Result per spec, in spec order. The
@@ -93,8 +70,7 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	defer cancel()
 
 	results := make([]Result, len(specs))
-	var mu sync.Mutex // guards done and firstErr
-	var done int
+	var mu sync.Mutex // guards firstErr
 	var firstErr error
 
 	// Every spec must yield a Result, skipped or not, so the pool itself
@@ -104,17 +80,6 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 		results[i] = res
 
 		mu.Lock()
-		done++
-		ev := Event{
-			ID:       res.Spec.ID,
-			Paper:    res.Spec.Paper,
-			Done:     done,
-			Total:    len(specs),
-			Duration: time.Duration(res.Metrics.WallMS * float64(time.Millisecond)),
-			Rows:     res.Metrics.Rows,
-			Err:      res.Err,
-			Skipped:  res.Skipped,
-		}
 		if res.Err != nil && !res.Skipped && firstErr == nil {
 			firstErr = fmt.Errorf("%s: %w", res.Spec.ID, res.Err)
 			if r.FailFast {
@@ -123,8 +88,8 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 		}
 		mu.Unlock()
 
-		if r.Events != nil {
-			r.Events <- ev
+		if r.OnResult != nil {
+			r.OnResult(res)
 		}
 	})
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -160,38 +159,26 @@ func TestRunnerKeepsGoingWithoutFailFast(t *testing.T) {
 	}
 }
 
-// TestRunnerEvents checks the completion stream: one event per spec with
-// coherent progress counters.
+// TestRunnerEvents checks the completion hook: with two workers, OnResult
+// fires exactly once per spec, with that spec's own result.
 func TestRunnerEvents(t *testing.T) {
 	ran := &runLog{}
 	specs := []Spec{okSpec("a", ran), okSpec("b", ran), okSpec("c", ran)}
-	events := make(chan Event, len(specs))
-	r := Runner{Jobs: 2, Events: events}
+	var mu sync.Mutex
+	seen := map[string]int{}
+	r := Runner{Jobs: 2, OnResult: func(res Result) {
+		if res.Err != nil || res.Skipped || res.Metrics.Rows != 1 {
+			t.Errorf("unexpected result %+v", res)
+		}
+		mu.Lock()
+		seen[res.Spec.ID]++
+		mu.Unlock()
+	}}
 	if _, err := r.Run(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
-	close(events)
-	var dones []int
-	ids := map[string]bool{}
-	for ev := range events {
-		if ev.Total != len(specs) {
-			t.Errorf("event total %d, want %d", ev.Total, len(specs))
-		}
-		if ev.Err != nil || ev.Skipped {
-			t.Errorf("unexpected failure event %+v", ev)
-		}
-		if ev.Rows != 1 {
-			t.Errorf("event rows %d, want 1", ev.Rows)
-		}
-		dones = append(dones, ev.Done)
-		ids[ev.ID] = true
-	}
-	sort.Ints(dones)
-	if len(dones) != 3 || dones[0] != 1 || dones[2] != 3 {
-		t.Errorf("done counters %v, want a permutation of 1..3", dones)
-	}
-	if !ids["a"] || !ids["b"] || !ids["c"] {
-		t.Errorf("event ids %v incomplete", ids)
+	if len(seen) != len(specs) || seen["a"] != 1 || seen["b"] != 1 || seen["c"] != 1 {
+		t.Errorf("OnResult calls per spec %v, want exactly one each for a, b, c", seen)
 	}
 }
 

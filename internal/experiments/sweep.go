@@ -53,9 +53,6 @@ type SweepConfig struct {
 	DriveSeconds  float64
 	BucketSeconds float64
 	WindowSeconds float64
-	// Stats, when set, receives each finished carrier for live ops-plane
-	// export (obs.RegisterSweepMetrics).
-	Stats *metrics.SweepStats
 	// OnCarrier, when set, is invoked for each finished carrier from
 	// whatever worker ran it (concurrently under Jobs > 1).
 	OnCarrier func(metrics.SweepCarrier)
@@ -102,17 +99,11 @@ func RunSweep(ctx context.Context, cfg SweepConfig) (metrics.SweepReport, error)
 	if cfg.Drift {
 		report.DriftAtS = cfg.DriveSeconds / 2
 	}
-	if cfg.Stats != nil {
-		cfg.Stats.Start(cfg.Carriers)
-	}
 
 	results := make([]metrics.SweepCarrier, cfg.Carriers)
 	err := fanOut(ctx, cfg.Carriers, cfg.Jobs, func(i int) {
 		c := runSweepCarrier(cfg, i)
 		results[i] = c
-		if cfg.Stats != nil {
-			cfg.Stats.Observe(c)
-		}
 		if cfg.OnCarrier != nil {
 			cfg.OnCarrier(c)
 		}

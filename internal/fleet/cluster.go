@@ -213,6 +213,30 @@ func (r *rig) close() {
 	}
 }
 
+// settle waits, up to timeout, until no node has an active session. A UE
+// returns as soon as it holds its last response, but the server observes
+// that sample's latency only after the flush and closes the session after
+// that, so counters read earlier can miss the observation. It names the
+// nodes still busy at the deadline.
+func (r *rig) settle(timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		var busy []string
+		for _, n := range r.nodes {
+			if n.stats().Active > 0 {
+				busy = append(busy, n.addr)
+			}
+		}
+		if len(busy) == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sessions still active on %v after %v", busy, timeout)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // report reads every node's lifetime counters and its report row.
 func (r *rig) report() (snaps []metrics.ServerSnapshot, rows []NodeReport) {
 	for _, n := range r.nodes {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestFleetClusterClosedLoop drives a 3-node in-process cluster in closed
@@ -95,10 +96,10 @@ func TestFleetRollingRestartZeroLoss(t *testing.T) {
 	}
 	// Each restart cuts the sessions the node was serving; their warm
 	// state must move and be resumed from, not rebuilt cold.
-	if rep.MigratedSessions == 0 {
+	if rep.Server.MigratedOut == 0 {
 		t.Error("no sessions migrated — the drains never bit, test is vacuous")
 	}
-	if rep.MigrationBytes == 0 {
+	if rep.Server.MigrationBytesOut == 0 {
 		t.Error("migration moved zero bytes")
 	}
 	if rep.ResumedSessions == 0 {
@@ -155,10 +156,10 @@ func TestFleetNodeKillZeroLoss(t *testing.T) {
 	}
 	// The kill config forces a replication interval, so the loop must
 	// have shipped state whether or not any session needed it.
-	if rep.ReplicationPushes == 0 {
+	if rep.Server.ReplicationPushes == 0 {
 		t.Error("node-kill run recorded no replication pushes — the loop never ran")
 	}
-	if rep.ReplicationBytes == 0 {
+	if rep.Server.ReplicationBytesOut == 0 {
 		t.Error("replication pushed zero bytes")
 	}
 	// Sessions that did fail over must have resumed warm.
@@ -211,8 +212,8 @@ func TestFleetClusterExternalAddrs(t *testing.T) {
 }
 
 // TestFleetExternalReportCarriesCrashCounters runs the Addrs path against
-// a replicating rig: the report's crash-fault fields must come from the
-// fetched aggregate like the migration fields do, not read zero.
+// a replicating rig: the aggregate fetched from the members' stats
+// endpoints must carry their replication counters, not read zero.
 func TestFleetExternalReportCarriesCrashCounters(t *testing.T) {
 	rig, err := newRig(3, server.Options{
 		ResumeGrace:         5 * time.Second,
@@ -239,14 +240,9 @@ func TestFleetExternalReportCarriesCrashCounters(t *testing.T) {
 	if rep.Server == nil || len(rep.PerNode) != 3 {
 		t.Fatalf("fetched aggregate missing or partial: %+v, per-node %d", rep.Server, len(rep.PerNode))
 	}
-	if rep.ReplicationPushes == 0 || rep.ReplicationPushes != rep.Server.ReplicationPushes {
-		t.Errorf("replication pushes %d, aggregate %d", rep.ReplicationPushes, rep.Server.ReplicationPushes)
-	}
-	if rep.ReplicationBytes == 0 || rep.ReplicationBytes != rep.Server.ReplicationBytesOut {
-		t.Errorf("replication bytes %d, aggregate %d", rep.ReplicationBytes, rep.Server.ReplicationBytesOut)
-	}
-	if rep.Failovers != rep.Server.Failovers {
-		t.Errorf("failovers %d, aggregate %d", rep.Failovers, rep.Server.Failovers)
+	if rep.Server.ReplicationPushes == 0 || rep.Server.ReplicationBytesOut == 0 {
+		t.Errorf("fetched aggregate lost its replication counters: pushes %d, bytes %d",
+			rep.Server.ReplicationPushes, rep.Server.ReplicationBytesOut)
 	}
 }
 
@@ -306,7 +302,7 @@ func TestNodeStartKeepsCounters(t *testing.T) {
 	defer rig.close()
 	n := rig.nodes[0]
 
-	c, err := server.Dial(n.addr, server.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	c, err := server.Dial(n.addr, wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}

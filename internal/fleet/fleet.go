@@ -275,27 +275,19 @@ type Report struct {
 	// Cluster fields. Addrs is the member list the UEs routed over;
 	// ClusterSize its length; RollingRestarts how many node restarts the
 	// run performed under load. Redirects counts client-followed
-	// ownership redirects; MigratedSessions/MigrationBytes the warm
-	// states and payload bytes the cluster moved (server-side, outbound);
-	// WarmResumeRatio is resumed/(resumed+cold) across the fleet — the
-	// zero-loss acceptance bar wants it near 1.
-	Addrs            []string `json:"addrs,omitempty"`
-	ClusterSize      int      `json:"cluster_size,omitempty"`
-	RollingRestarts  int      `json:"rolling_restarts,omitempty"`
-	Redirects        int64    `json:"redirects,omitempty"`
-	MigratedSessions int64    `json:"migrated_sessions,omitempty"`
-	MigrationBytes   int64    `json:"migration_bytes,omitempty"`
-	WarmResumeRatio  float64  `json:"warm_resume_ratio,omitempty"`
-	// Crash-fault fields (the NodeKill schedule). NodeKills counts hard node
-	// crashes the run inflicted; Failovers the sessions peers promoted from
-	// replicated state; ReplicationPushes/ReplicationBytes the async
-	// replication passes and payload the cluster shipped (server-side,
-	// outbound).
-	NodeKills         int          `json:"node_kills,omitempty"`
-	Failovers         int64        `json:"failovers,omitempty"`
-	ReplicationPushes int64        `json:"replication_pushes,omitempty"`
-	ReplicationBytes  int64        `json:"replication_bytes,omitempty"`
-	PerNode           []NodeReport `json:"per_node,omitempty"`
+	// ownership redirects; WarmResumeRatio is resumed/(resumed+cold)
+	// across the fleet — the zero-loss acceptance bar wants it near 1.
+	// The server-side migration, replication and failover counters are
+	// in Server.
+	Addrs           []string `json:"addrs,omitempty"`
+	ClusterSize     int      `json:"cluster_size,omitempty"`
+	RollingRestarts int      `json:"rolling_restarts,omitempty"`
+	Redirects       int64    `json:"redirects,omitempty"`
+	WarmResumeRatio float64  `json:"warm_resume_ratio,omitempty"`
+	// NodeKills counts the hard node crashes the run inflicted (the
+	// NodeKill schedule).
+	NodeKills int          `json:"node_kills,omitempty"`
+	PerNode   []NodeReport `json:"per_node,omitempty"`
 	// PredictionsPerSec is the fleet-wide serving throughput over the
 	// load phase.
 	PredictionsPerSec float64 `json:"predictions_per_sec"`
@@ -531,6 +523,13 @@ func Run(cfg Config) (*Report, error) {
 	wg.Wait()
 	loadWall := time.Since(loadStart)
 	<-faultsDone
+	if local != nil {
+		// Every rig counter below, the ops scrape included, must see
+		// the sessions' last latency observations.
+		if err := local.settle(5 * time.Second); err != nil {
+			addErr(err)
+		}
+	}
 
 	rep := &Report{
 		UEs:        cfg.UEs,
@@ -601,11 +600,6 @@ func Run(cfg Config) (*Report, error) {
 			rep.RollingRestarts += r.Restarts
 			rep.NodeKills += r.Kills
 		}
-		rep.MigratedSessions = agg.MigratedOut
-		rep.MigrationBytes = agg.MigrationBytesOut
-		rep.Failovers = agg.Failovers
-		rep.ReplicationPushes = agg.ReplicationPushes
-		rep.ReplicationBytes = agg.ReplicationBytesOut
 	}
 	if scrapeAddr != "" {
 		m, err := obs.Scrape(scrapeAddr)
@@ -644,7 +638,7 @@ func (u *ueRunner) run() error {
 	// ClientOptions.NoAutoFlush).
 	batched := u.cfg.Mode == ModeClosed && u.cfg.ClosedWindow > 1
 	client, err := server.DialResilient(u.route[0], server.ResilientOptions{
-		Hello: server.Hello{
+		Hello: wire.Hello{
 			Carrier:      u.cfg.Carrier,
 			Arch:         u.cfg.Arch,
 			SessionToken: u.cfg.ueToken(u.id),

@@ -1,10 +1,5 @@
 package metrics
 
-import (
-	"encoding/json"
-	"os"
-)
-
 // HOLoopArm is one policy arm's outcome for one UE in the adaptive-vs-
 // static handover comparison: the same seed, route and deployment driven
 // once under the static carrier policy and once under the prediction-driven
@@ -187,19 +182,4 @@ func pooledF1(tp, fp, fn int) float64 {
 	p := float64(tp) / float64(tp+fp)
 	rc := float64(tp) / float64(tp+fn)
 	return 2 * p * rc / (p + rc)
-}
-
-// Marshal renders the report as indented JSON (stable key order — the
-// bytes are the determinism contract, as with SweepReport).
-func (r HOLoopReport) Marshal() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// WriteFile writes the report to path.
-func (r HOLoopReport) WriteFile(path string) error {
-	b, err := r.Marshal()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -59,22 +59,15 @@ type Report struct {
 	Experiments []Experiment `json:"experiments"`
 }
 
-// Marshal renders the report as indented JSON.
-func (r Report) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
+// WriteJSON writes v to path as indented JSON plus a newline: the file
+// format of the run, sweep and holoop reports. Struct tags fix the key
+// order, so equal reports write equal bytes.
+func WriteJSON(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("metrics: marshal report: %w", err)
+		return fmt.Errorf("metrics: marshal report: %w", err)
 	}
-	return append(b, '\n'), nil
-}
-
-// WriteFile writes the report as indented JSON to path.
-func (r Report) WriteFile(path string) error {
-	b, err := r.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 		return fmt.Errorf("metrics: write report: %w", err)
 	}
 	return nil

@@ -25,7 +25,7 @@ func TestReportRoundTrip(t *testing.T) {
 		},
 	}
 	path := filepath.Join(t.TempDir(), "run.json")
-	if err := r.WriteFile(path); err != nil {
+	if err := WriteJSON(path, r); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

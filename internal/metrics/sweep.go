@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"os"
 	"sort"
 	"sync"
 )
@@ -123,9 +121,9 @@ func (r *SweepReport) Summarize() {
 }
 
 // percentile is the linear-interpolation quantile used by the sweep
-// aggregates. It duplicates analysis.Percentile because metrics cannot
-// import analysis: sim imports metrics (through obs), and analysis's
-// tests import sim.
+// aggregates, with p a fraction in [0, 1]. It is not stats.Percentile
+// because that returns NaN on empty input, and json.Marshal rejects NaN:
+// a sweep where no carrier converged must still write its report.
 func percentile(vals []float64, p float64) float64 {
 	if len(vals) == 0 {
 		return 0
@@ -147,93 +145,39 @@ func percentile(vals []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// Marshal renders the report as indented JSON (stable key order via struct
-// tags — the bytes are the determinism contract).
-func (r SweepReport) Marshal() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// WriteFile writes the report to path.
-func (r SweepReport) WriteFile(path string) error {
-	b, err := r.Marshal()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// SweepProgress is a point-in-time snapshot of a running sweep, exported
-// through the ops plane so a long fleet run is observable mid-flight.
-type SweepProgress struct {
-	Planned         int
-	Done            int
-	Errors          int
-	Converged       int
-	Reconverged     int
-	MedianTimeToF1S float64
-	F1Floor         float64
-	HasFloor        bool
-}
-
-// SweepStats is the live, concurrency-safe aggregator behind
-// SweepProgress: the sweep runner Observes each finished carrier from
-// whatever worker ran it.
+// SweepStats is the live view of a running sweep, exported through the
+// ops plane (obs.RegisterSweepMetrics) so a long run is observable
+// mid-flight: the planned carrier count and the carriers finished so far.
+// It is safe for concurrent use; the sweep's OnCarrier hook Observes each
+// finished carrier from whatever worker ran it.
 type SweepStats struct {
-	mu          sync.Mutex
-	planned     int
-	done        int
-	errors      int
-	converged   int
-	reconverged int
-	ttf         []float64
-	floor       float64
-	hasFloor    bool
+	mu      sync.Mutex
+	planned int
+	done    []SweepCarrier
 }
 
-// Start resets the aggregator for a run of n carriers.
+// Start resets the stats for a run of n carriers.
 func (s *SweepStats) Start(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.planned = n
-	s.done, s.errors, s.converged, s.reconverged = 0, 0, 0, 0
-	s.ttf = nil
-	s.floor, s.hasFloor = 0, false
+	s.planned, s.done = n, nil
 }
 
-// Observe folds one finished carrier into the running aggregates.
+// Observe records one finished carrier.
 func (s *SweepStats) Observe(c SweepCarrier) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.done++
-	if c.Error != "" {
-		s.errors++
-		return
-	}
-	if c.Converged {
-		s.converged++
-		s.ttf = append(s.ttf, c.TimeToF1S)
-	}
-	if c.Reconverged {
-		s.reconverged++
-	}
-	if !s.hasFloor || c.FloorF1 < s.floor {
-		s.floor = c.FloorF1
-		s.hasFloor = true
-	}
+	s.done = append(s.done, c)
 }
 
-// Snapshot returns the current progress.
-func (s *SweepStats) Snapshot() SweepProgress {
+// Snapshot returns the sweep so far: Carriers is the planned count, and
+// Results (in completion order) and Summary cover the finished carriers.
+func (s *SweepStats) Snapshot() SweepReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SweepProgress{
-		Planned:         s.planned,
-		Done:            s.done,
-		Errors:          s.errors,
-		Converged:       s.converged,
-		Reconverged:     s.reconverged,
-		MedianTimeToF1S: percentile(s.ttf, 0.5),
-		F1Floor:         s.floor,
-		HasFloor:        s.hasFloor,
-	}
+	// Capped, so an append to Results cannot write the slots later
+	// Observes fill.
+	r := SweepReport{Carriers: s.planned, Results: s.done[:len(s.done):len(s.done)]}
+	r.Summarize()
+	return r
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -30,7 +31,7 @@ func TestSweepReportSummarizeAndRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	if err := r.WriteFile(path); err != nil {
+	if err := WriteJSON(path, r); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -44,26 +45,39 @@ func TestSweepReportSummarizeAndRoundTrip(t *testing.T) {
 	if got.Summary != s || len(got.Results) != 3 || got.Results[2].Error != "boom" {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
-	// Marshal is the determinism contract: identical reports produce
-	// identical bytes.
-	m1, _ := r.Marshal()
-	m2, _ := r.Marshal()
-	if string(m1) != string(m2) {
-		t.Error("Marshal not stable")
+	// The file is the indented JSON plus a newline: the bytes the report
+	// goldens hash.
+	want, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != string(want)+"\n" {
+		t.Errorf("WriteJSON wrote %q, want the indented JSON plus a newline", b)
 	}
 }
 
+// TestSweepStats observes carriers from several workers while the ops
+// plane snapshots, as a sweep does, and checks the summary of them.
 func TestSweepStats(t *testing.T) {
 	var st SweepStats
 	st.Start(10)
-	st.Observe(SweepCarrier{Converged: true, TimeToF1S: 50, FloorF1: 0.5})
-	st.Observe(SweepCarrier{Converged: true, TimeToF1S: 70, Reconverged: true, ReconvergeS: 30, FloorF1: 0.3})
-	st.Observe(SweepCarrier{Error: "x"})
-	p := st.Snapshot()
-	if p.Planned != 10 || p.Done != 3 || p.Errors != 1 || p.Converged != 2 || p.Reconverged != 1 {
-		t.Fatalf("progress: %+v", p)
+	var wg sync.WaitGroup
+	for _, c := range []SweepCarrier{
+		{Converged: true, TimeToF1S: 50, FloorF1: 0.5},
+		{Converged: true, TimeToF1S: 70, Reconverged: true, ReconvergeS: 30, FloorF1: 0.3},
+		{Error: "x"},
+	} {
+		wg.Add(2)
+		go func() { defer wg.Done(); st.Observe(c) }()
+		go func() { defer wg.Done(); st.Snapshot() }()
 	}
-	if p.MedianTimeToF1S != 60 || !p.HasFloor || p.F1Floor != 0.3 {
-		t.Errorf("aggregates: %+v", p)
+	wg.Wait()
+	r := st.Snapshot()
+	s := r.Summary
+	if r.Carriers != 10 || len(r.Results) != 3 || s.Carriers != 3 || s.Errors != 1 || s.Converged != 2 || s.Reconverged != 1 {
+		t.Fatalf("progress: planned %d, summary %+v", r.Carriers, s)
+	}
+	if s.MedianTimeToF1S != 60 || s.F1Floor != 0.3 {
+		t.Errorf("aggregates: %+v", s)
 	}
 }

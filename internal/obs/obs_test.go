@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestExpositionGolden pins the exposition encoder's exact output for a
@@ -371,7 +372,7 @@ func TestServerTracerEvents(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := server.Dial(srv.Addr(), server.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	client, err := server.Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}

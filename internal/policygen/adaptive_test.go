@@ -5,60 +5,6 @@ import (
 	"time"
 )
 
-func TestDefaultAdaptiveSpecValid(t *testing.T) {
-	s := DefaultAdaptiveSpec()
-	if err := s.Validate(); err != nil {
-		t.Fatalf("default spec invalid: %v", err)
-	}
-	if !s.Enabled() {
-		t.Fatal("default spec disabled")
-	}
-	// The default tighten stance is neutral by design (ablations showed an
-	// aggressive tighten adds ping-pongs); pin it so a retune is deliberate.
-	if s.TightenTTTScale != 1 || s.TightenHysteresisDB != 0 {
-		t.Errorf("default tighten stance not neutral: scale=%v delta=%v",
-			s.TightenTTTScale, s.TightenHysteresisDB)
-	}
-}
-
-func TestAdaptiveSpecEnabled(t *testing.T) {
-	var nilSpec *AdaptiveSpec
-	if nilSpec.Enabled() {
-		t.Error("nil spec enabled")
-	}
-	off := AdaptiveSpec{}
-	if off.Enabled() {
-		t.Error("zero spec enabled")
-	}
-	one := AdaptiveSpec{SkipAhead: true}
-	if !one.Enabled() {
-		t.Error("single-control spec disabled")
-	}
-}
-
-func TestAdaptiveSpecValidateRejects(t *testing.T) {
-	mutations := []struct {
-		name string
-		mut  func(*AdaptiveSpec)
-	}{
-		{"confidence above 1", func(s *AdaptiveSpec) { s.MinConfidence = 1.5 }},
-		{"negative prep cap", func(s *AdaptiveSpec) { s.PrepCapS = -1 }},
-		{"exec credit above 0.8", func(s *AdaptiveSpec) { s.ExecCredit = 0.9 }},
-		{"relax scale below 1", func(s *AdaptiveSpec) { s.RelaxTTTScale = 0.9 }},
-		{"relax hysteresis above max", func(s *AdaptiveSpec) { s.RelaxHysteresisDB = MaxHysteresisDB + 1 }},
-		{"tighten scale zero", func(s *AdaptiveSpec) { s.TightenTTTScale = 0 }},
-		{"tighten scale above 1", func(s *AdaptiveSpec) { s.TightenTTTScale = 1.2 }},
-		{"negative calm window", func(s *AdaptiveSpec) { s.CalmAfterS = -5 }},
-	}
-	for _, m := range mutations {
-		s := DefaultAdaptiveSpec()
-		m.mut(&s)
-		if err := s.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted the spec", m.name)
-		}
-	}
-}
-
 func TestQuantizeTTT(t *testing.T) {
 	cases := []struct {
 		in, want time.Duration

@@ -1,6 +1,7 @@
 package ran
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cellular"
@@ -24,39 +25,50 @@ type Forecast struct {
 	Lead       time.Duration
 }
 
-// AdaptiveConfig switches and tunes the three prediction-driven controls.
-// Each control is independent; the zero value (all off) disables the layer
-// entirely and a drive behaves bit-identically to the static policy.
+// AdaptiveConfig switches and tunes the three prediction-driven controls
+// (the paper's §7 "predictive preparation" and "skip-ahead" extension
+// hooks). Each control is independent, so ablations can isolate each
+// mechanism; the zero value (all off) disables the layer entirely and a
+// drive behaves bit-identically to the static policy.
 type AdaptiveConfig struct {
-	// EarlyPrep credits standing-forecast time against T1 (preparation ran
-	// ahead of the trigger) and part of T2 (the target is pre-configured,
-	// as in 3GPP conditional handover).
+	// EarlyPrep starts handover preparation when a confident prediction of
+	// the handover stands before the triggering report fires, crediting the
+	// already-elapsed warning time against the preparation stage (T1) and —
+	// because the target comes pre-configured, as in conditional handover —
+	// part of the execution stage (T2).
 	EarlyPrep bool
-	// SkipAhead makes SCG target selection jump to the strongest adequate
-	// cell — the predicted final cell of the would-be handover chain —
-	// instead of the first adequate one.
+	// SkipAhead jumps directly to the predicted final cell of a handover
+	// chain: SCG target selection picks the strongest adequate cell rather
+	// than the first adequate one, eliminating the follow-up intra-band hop
+	// the §6.2 "independent release/add legs" behaviour otherwise causes.
 	SkipAhead bool
-	// AdaptTTT relaxes TTT/hysteresis on observed ping-pong and tightens
-	// them when predictions are reliably confirmed, per-UE, within the
+	// AdaptTTT tightens or relaxes the UE's TTT/hysteresis per-UE from
+	// recent prediction reliability and observed ping-pong, within the
 	// 3GPP-enumerated value sets.
 	AdaptTTT bool
 
-	// MinConfidence is the arming bar for forecasts.
+	// MinConfidence gates all three controls: a forecast only arms when
+	// similarity × pattern reliability reaches this bar.
 	MinConfidence float64
-	// PrepCap bounds the T1 credit; ExecCredit the T2 fraction a fully
-	// prepared target saves.
+	// PrepCap caps the preparation credit (standing-forecast time that
+	// counts against T1); ExecCredit is the fraction of T2 a fully
+	// prepared target saves (0..0.8).
 	PrepCap    time.Duration
 	ExecCredit float64
 
-	// Relax/Tighten steps (see policygen.AdaptiveSpec for semantics).
+	// RelaxTTTScale / RelaxHysteresisDB are applied per relax step when
+	// ping-pong is observed (TTT multiplied, hysteresis added);
+	// TightenTTTScale / TightenHysteresisDB when predictions are reliably
+	// confirmed and the drive is ping-pong-free.
 	RelaxTTTScale       float64
 	RelaxHysteresisDB   float64
 	TightenTTTScale     float64
 	TightenHysteresisDB float64
 
-	// PingPongWindow is the critical A→B→A time; CalmAfter how long without
-	// a ping-pong before one relax step unwinds; ReconfMinGap the minimum
-	// spacing between measurement reconfigurations.
+	// PingPongWindow is the critical time within which an A→B, B→A pair
+	// counts as a ping-pong; CalmAfter how long without one before a relax
+	// step is unwound; ReconfMinGap the minimum spacing between
+	// measurement reconfigurations (each reset costs TTT state).
 	PingPongWindow time.Duration
 	CalmAfter      time.Duration
 	ReconfMinGap   time.Duration
@@ -67,28 +79,59 @@ func (c *AdaptiveConfig) Enabled() bool {
 	return c != nil && (c.EarlyPrep || c.SkipAhead || c.AdaptTTT)
 }
 
-// AdaptiveFromSpec compiles a policygen spec into a live config.
-func AdaptiveFromSpec(s policygen.AdaptiveSpec) *AdaptiveConfig {
-	return &AdaptiveConfig{
-		EarlyPrep:           s.EarlyPrep,
-		SkipAhead:           s.SkipAhead,
-		AdaptTTT:            s.AdaptTTT,
-		MinConfidence:       s.MinConfidence,
-		PrepCap:             time.Duration(s.PrepCapS * float64(time.Second)),
-		ExecCredit:          s.ExecCredit,
-		RelaxTTTScale:       s.RelaxTTTScale,
-		RelaxHysteresisDB:   s.RelaxHysteresisDB,
-		TightenTTTScale:     s.TightenTTTScale,
-		TightenHysteresisDB: s.TightenHysteresisDB,
-		PingPongWindow:      time.Duration(s.PingPongWindowS * float64(time.Second)),
-		CalmAfter:           time.Duration(s.CalmAfterS * float64(time.Second)),
-		ReconfMinGap:        time.Duration(s.ReconfMinGapS * float64(time.Second)),
+// Validate checks the config for plausibility: confidences and credits
+// are fractions, relax scales relax (≥1), tighten scales tighten (0<x≤1),
+// and the timing knobs are non-negative.
+func (c *AdaptiveConfig) Validate() error {
+	if c.MinConfidence < 0 || c.MinConfidence > 1 {
+		return fmt.Errorf("adaptive: min confidence %.2f outside [0, 1]", c.MinConfidence)
 	}
+	if c.PrepCap < 0 {
+		return fmt.Errorf("adaptive: negative prep cap")
+	}
+	if c.ExecCredit < 0 || c.ExecCredit > 0.8 {
+		return fmt.Errorf("adaptive: exec credit %.2f outside [0, 0.8]", c.ExecCredit)
+	}
+	if c.RelaxTTTScale < 1 {
+		return fmt.Errorf("adaptive: relax TTT scale %.2f < 1", c.RelaxTTTScale)
+	}
+	if c.RelaxHysteresisDB < 0 || c.RelaxHysteresisDB > policygen.MaxHysteresisDB {
+		return fmt.Errorf("adaptive: relax hysteresis %.1f dB outside [0, %.0f]", c.RelaxHysteresisDB, policygen.MaxHysteresisDB)
+	}
+	if c.TightenTTTScale <= 0 || c.TightenTTTScale > 1 {
+		return fmt.Errorf("adaptive: tighten TTT scale %.2f outside (0, 1]", c.TightenTTTScale)
+	}
+	if c.TightenHysteresisDB < 0 || c.TightenHysteresisDB > policygen.MaxHysteresisDB {
+		return fmt.Errorf("adaptive: tighten hysteresis %.1f dB outside [0, %.0f]", c.TightenHysteresisDB, policygen.MaxHysteresisDB)
+	}
+	if c.PingPongWindow < 0 || c.CalmAfter < 0 || c.ReconfMinGap < 0 {
+		return fmt.Errorf("adaptive: negative timing parameter")
+	}
+	return nil
 }
 
-// DefaultAdaptive compiles the reference spec (all three controls on).
+// DefaultAdaptive returns the reference config: all three controls on,
+// with the parameters the holoop gate runs under. Tightening is neutral
+// (scale 1, delta 0) by default: ablations showed shrinking TTT on
+// reliable forecasts buys little throughput but reliably *adds*
+// ping-pongs, defeating the loop's primary goal — set the Tighten fields
+// to opt into it.
 func DefaultAdaptive() *AdaptiveConfig {
-	return AdaptiveFromSpec(policygen.DefaultAdaptiveSpec())
+	return &AdaptiveConfig{
+		EarlyPrep:           true,
+		SkipAhead:           true,
+		AdaptTTT:            true,
+		MinConfidence:       0.4,
+		PrepCap:             2 * time.Second,
+		ExecCredit:          0.4,
+		RelaxTTTScale:       3.0,
+		RelaxHysteresisDB:   2.0,
+		TightenTTTScale:     1.0,
+		TightenHysteresisDB: 0.0,
+		PingPongWindow:      5 * time.Second,
+		CalmAfter:           30 * time.Second,
+		ReconfMinGap:        2 * time.Second,
+	}
 }
 
 // AdaptiveStats counts what the closed loop actually did during a drive.

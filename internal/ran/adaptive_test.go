@@ -287,13 +287,54 @@ func TestAdaptEventConfigs(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFromSpec pins the spec compilation path.
-func TestAdaptiveFromSpec(t *testing.T) {
-	cfg := AdaptiveFromSpec(policygen.DefaultAdaptiveSpec())
-	if !cfg.Enabled() {
-		t.Fatal("adaptive portfolio compiled to a disabled config")
+// TestDefaultAdaptiveValid pins the reference config: valid, enabled and
+// a neutral tighten stance.
+func TestDefaultAdaptiveValid(t *testing.T) {
+	cfg := DefaultAdaptive()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
 	}
-	if cfg.PingPongWindow != 5*time.Second || cfg.CalmAfter != 30*time.Second {
-		t.Errorf("duration compilation: window=%v calm=%v", cfg.PingPongWindow, cfg.CalmAfter)
+	if !cfg.Enabled() {
+		t.Fatal("default config disabled")
+	}
+	// The default tighten stance is neutral by design (ablations showed an
+	// aggressive tighten adds ping-pongs); pin it so a retune is deliberate.
+	if cfg.TightenTTTScale != 1 || cfg.TightenHysteresisDB != 0 {
+		t.Errorf("default tighten stance not neutral: scale=%v delta=%v",
+			cfg.TightenTTTScale, cfg.TightenHysteresisDB)
+	}
+}
+
+// TestDefaultAdaptiveDurations pins the durations the holoop gate runs
+// under.
+func TestDefaultAdaptiveDurations(t *testing.T) {
+	cfg := DefaultAdaptive()
+	if cfg.PrepCap != 2*time.Second || cfg.PingPongWindow != 5*time.Second ||
+		cfg.CalmAfter != 30*time.Second || cfg.ReconfMinGap != 2*time.Second {
+		t.Errorf("durations: prep cap=%v window=%v calm=%v gap=%v",
+			cfg.PrepCap, cfg.PingPongWindow, cfg.CalmAfter, cfg.ReconfMinGap)
+	}
+}
+
+func TestAdaptiveConfigValidateRejects(t *testing.T) {
+	mutations := []struct {
+		name string
+		mut  func(*AdaptiveConfig)
+	}{
+		{"confidence above 1", func(c *AdaptiveConfig) { c.MinConfidence = 1.5 }},
+		{"negative prep cap", func(c *AdaptiveConfig) { c.PrepCap = -time.Second }},
+		{"exec credit above 0.8", func(c *AdaptiveConfig) { c.ExecCredit = 0.9 }},
+		{"relax scale below 1", func(c *AdaptiveConfig) { c.RelaxTTTScale = 0.9 }},
+		{"relax hysteresis above max", func(c *AdaptiveConfig) { c.RelaxHysteresisDB = policygen.MaxHysteresisDB + 1 }},
+		{"tighten scale zero", func(c *AdaptiveConfig) { c.TightenTTTScale = 0 }},
+		{"tighten scale above 1", func(c *AdaptiveConfig) { c.TightenTTTScale = 1.2 }},
+		{"negative calm window", func(c *AdaptiveConfig) { c.CalmAfter = -5 * time.Second }},
+	}
+	for _, m := range mutations {
+		cfg := DefaultAdaptive()
+		m.mut(cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the config", m.name)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cellular"
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // clusterRig brings up n cluster-aware servers over pre-bound listeners so
@@ -92,7 +93,7 @@ func TestClusterRedirect(t *testing.T) {
 	}
 	tok := tokenOwnedBy(t, rig.ring, owner)
 
-	c, err := Dial(wrong, Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
+	c, err := Dial(wrong, wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestClusterRedirect(t *testing.T) {
 	}
 
 	// The owner itself, and untokened sessions anywhere, serve normally.
-	co, err := Dial(owner, Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
+	co, err := Dial(owner, wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestClusterRedirect(t *testing.T) {
 	if _, err := co.SendSample(mkSample(0, -85)); err != nil {
 		t.Fatal(err)
 	}
-	cu, err := Dial(wrong, Hello{Carrier: "OpX", Arch: cellular.ArchLTE})
+	cu, err := Dial(wrong, wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestDrainMigratesWarmState(t *testing.T) {
 	tok := tokenOwnedBy(t, rig.ring, owner)
 	successor := rig.ring.Candidates(tok)[1]
 
-	c, err := Dial(owner, Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
+	c, err := Dial(owner, wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestDrainMigratesWarmState(t *testing.T) {
 
 	// Resume on the successor: server-side seq must carry on from the
 	// drained node, and the replay must cover exactly what we never read.
-	c2, err := Dial(successor, Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok, LastSeq: readBack})
+	c2, err := Dial(successor, wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok, LastSeq: readBack})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestResilientClientFollowsRedirect(t *testing.T) {
 	}
 
 	rc, err := DialResilient(wrong, ResilientOptions{
-		Hello: Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok},
+		Hello: wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok},
 		Seed:  1,
 	})
 	if err != nil {
@@ -279,7 +280,7 @@ func TestResilientClientSurvivesDrain(t *testing.T) {
 	successor := cands[1]
 
 	rc, err := DialResilient(cands[0], ResilientOptions{
-		Hello:     Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok},
+		Hello:     wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok},
 		Fallbacks: cands[1:],
 		Seed:      7,
 	})
@@ -329,7 +330,7 @@ func TestMigrationStreamRequiresBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr(), Hello{Migrate: true, Node: "test"})
+	c, err := Dial(srv.Addr(), wire.Hello{Migrate: true, Node: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,8 @@ func FuzzSessionProtocol(f *testing.F) {
 		return append(b, '\n')
 	}
 	sample := mkSample(0, -95)
-	hello := line(Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
-	rec := line(Record{Sample: &sample})
+	hello := line(wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	rec := line(wire.Record{Sample: &sample})
 
 	// Well-formed session: hello plus a sample record.
 	f.Add(append(append([]byte{}, hello...), rec...))
@@ -36,20 +36,20 @@ func FuzzSessionProtocol(f *testing.F) {
 	f.Add([]byte("{half a hello\n"))
 	f.Add(append(append([]byte{}, hello...), []byte("{\"sample\":42}\n")...))
 	f.Add([]byte{})
-	f.Add(line(Hello{Stats: true}))
+	f.Add(line(wire.Hello{Stats: true}))
 	f.Add(append(append([]byte{}, hello...), []byte("{\"unknown\":true}\n")...))
 	f.Add([]byte("\n\n\n\n"))
 	// Resume-protocol shapes: tokened hello, absurd cursor, token with no
 	// resume support configured server-side.
-	f.Add(line(Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "fuzz-tok"}))
-	f.Add(line(Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "fuzz-tok", LastSeq: -7}))
-	f.Add(line(Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "fuzz-tok", LastSeq: 1 << 40}))
+	f.Add(line(wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "fuzz-tok"}))
+	f.Add(line(wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "fuzz-tok", LastSeq: -7}))
+	f.Add(line(wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "fuzz-tok", LastSeq: 1 << 40}))
 	// An oversized record line (over maxLineBytes).
 	f.Add(append(append([]byte{}, hello...), append(bytes.Repeat([]byte("x"), maxLineBytes+1), '\n')...))
 
 	// Binary-framing shapes. The hello is always JSONL; what follows it is
 	// binary frames (docs/PROTOCOL.md §negotiation).
-	binHello := line(Hello{Carrier: "OpX", Arch: cellular.ArchNSA, Framing: string(wire.FramingBinary)})
+	binHello := line(wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA, Framing: string(wire.FramingBinary)})
 	frame := func(write func(*wire.FrameWriter) error) []byte {
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
@@ -74,12 +74,12 @@ func FuzzSessionProtocol(f *testing.F) {
 	// Oversized frame header (length over MaxFrameBytes).
 	f.Add(append(append([]byte{}, binHello...), 0xff, 0xff, 0xff, 0xff, wire.FrameSample))
 	// A hello naming a framing the server does not speak.
-	f.Add(line(Hello{Carrier: "OpX", Arch: cellular.ArchNSA, Framing: "protobuf"}))
+	f.Add(line(wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA, Framing: "protobuf"}))
 
 	// State-transfer shapes (docs/PROTOCOL.md §State-transfer frames). The
 	// harness server has no cluster ring, so every replicate hello must be
 	// rejected cleanly — the satellite case a mis-wired peer exercises.
-	repHello := line(Hello{Replicate: true, Node: "fuzz-peer", Framing: string(wire.FramingBinary)})
+	repHello := line(wire.Hello{Replicate: true, Node: "fuzz-peer", Framing: string(wire.FramingBinary)})
 	repState := frame(func(fw *wire.FrameWriter) error {
 		return fw.WriteMigrate([]byte(`{"v":1,"token":"fuzz-tok","carrier":"OpX","arch":"NSA","seq":3,"partial":true}`))
 	})
@@ -93,10 +93,10 @@ func FuzzSessionProtocol(f *testing.F) {
 		return fw.WriteSample(&sample)
 	})...))
 	// A replicate hello asking for JSONL framing (replication is binary-only).
-	f.Add(line(Hello{Replicate: true, Node: "fuzz-peer"}))
+	f.Add(line(wire.Hello{Replicate: true, Node: "fuzz-peer"}))
 	// The retired replication frame type 0x05, under a migrate hello so it
 	// reaches the stream's frame-type check on this unclustered harness.
-	migHello := line(Hello{Migrate: true, Node: "fuzz-peer", Framing: string(wire.FramingBinary)})
+	migHello := line(wire.Hello{Migrate: true, Node: "fuzz-peer", Framing: string(wire.FramingBinary)})
 	retired := append([]byte{}, repState...)
 	retired[4] = 0x05
 	f.Add(append(append([]byte{}, migHello...), retired...))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"repro/internal/cellular"
+	"repro/internal/wire"
 	"strings"
 	"sync"
 	"testing"
@@ -122,7 +123,7 @@ func TestServerOverLimitRejection(t *testing.T) {
 	defer srv.Close()
 
 	// First session takes the only slot.
-	c1, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	c1, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestServerOverLimitRejection(t *testing.T) {
 	}
 
 	// Second session must be politely rejected with a structured error.
-	c2, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	c2, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestServerOverLimitRejection(t *testing.T) {
 	c1.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		c3, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+		c3, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func TestServerOversizedRecord(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	c, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestServerSessionDeadline(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	c, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestServerDrainLetsInflightFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	c, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestServerDrainForceClosesAfterTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	c, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestServerManyConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr(), Hello{Carrier: "OpY", Arch: cellular.ArchNSA})
+			c, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpY", Arch: cellular.ArchNSA})
 			if err != nil {
 				errs <- err
 				return

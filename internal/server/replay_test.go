@@ -14,17 +14,17 @@ import (
 // response past the cap: the oracle the ring is checked against.
 type shiftBuffer struct {
 	max  int
-	resp []Response
+	resp []wire.Response
 }
 
-func (o *shiftBuffer) push(r Response) {
+func (o *shiftBuffer) push(r wire.Response) {
 	o.resp = append(o.resp, r)
 	if len(o.resp) > o.max {
 		o.resp = o.resp[1:]
 	}
 }
 
-func (o *shiftBuffer) after(last, seq int64) ([]Response, bool) {
+func (o *shiftBuffer) after(last, seq int64) ([]wire.Response, bool) {
 	switch n := seq - last; {
 	case n < 0 || int64(len(o.resp)) < n:
 		return nil, false
@@ -33,12 +33,12 @@ func (o *shiftBuffer) after(last, seq int64) ([]Response, bool) {
 	}
 }
 
-func (o *shiftBuffer) tail(n int) []Response {
+func (o *shiftBuffer) tail(n int) []wire.Response {
 	return o.resp[max(0, len(o.resp)-n):]
 }
 
 // span names a run of responses by its first and last seq.
-func span(rs []Response) string {
+func span(rs []wire.Response) string {
 	if len(rs) == 0 {
 		return "none"
 	}
@@ -47,8 +47,8 @@ func span(rs []Response) string {
 
 // ringResponse is the response answering sample seq, with every field
 // distinct, so a reordered or stale slot shows.
-func ringResponse(seq int64) Response {
-	return Response{
+func ringResponse(seq int64) wire.Response {
+	return wire.Response{
 		Time:       time.Duration(seq) * 50 * time.Millisecond,
 		Type:       cellular.HOType(seq % 5),
 		TypeName:   fmt.Sprint("t", seq),
@@ -83,7 +83,7 @@ func TestReplayRingMatchesShiftOracle(t *testing.T) {
 		}
 
 		outbox := newReplicaOutbox()
-		outbox.put(&Hello{SessionToken: "ue"}, seq, ring)
+		outbox.put(&wire.Hello{SessionToken: "ue"}, seq, ring)
 		if got, want := outbox.drain()["ue"].Responses, oracle.tail(replicaLiveTail); !slices.Equal(got, want) {
 			t.Fatalf("%d pushes: replication tail holds %s, want %s", pushes, span(got), span(want))
 		}
@@ -122,7 +122,7 @@ func TestResumeReplaysAcrossRingWrap(t *testing.T) {
 			}
 			defer srv.Close()
 			dial := ClientOptions{Framing: wire.FramingBinary, NoAutoFlush: true}
-			hello := Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-wrap"}
+			hello := wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-wrap"}
 			c1, err := DialWith(srv.Addr(), hello, dial)
 			if err != nil {
 				t.Fatal(err)
@@ -130,7 +130,7 @@ func TestResumeReplaysAcrossRingWrap(t *testing.T) {
 			if _, err := c1.readAck(); err != nil {
 				t.Fatal(err)
 			}
-			var got []Response
+			var got []wire.Response
 			for len(got) < served {
 				n := min(64, served-len(got))
 				for i := 0; i < n; i++ {

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // replicaLiveTail bounds the replay-buffer tail a live session deposits
@@ -42,7 +43,7 @@ func newReplicaOutbox() *replicaOutbox {
 // put deposits one live session's resume state. Called from the session's
 // own goroutine, so reading the replay buffer needs no synchronization;
 // the copy taken here is what crosses into the replication loop.
-func (o *replicaOutbox) put(h *Hello, seq int64, buf *replayBuffer) {
+func (o *replicaOutbox) put(h *wire.Hello, seq int64, buf *replayBuffer) {
 	st := cluster.SessionState{
 		Token:                  h.SessionToken,
 		Carrier:                h.Carrier,

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cellular"
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // TestDrainToClusterLocalFallback pins the all-peers-unreachable drain: a
@@ -49,7 +50,7 @@ func TestDrainToClusterLocalFallback(t *testing.T) {
 
 	// A live session gives the drain something worth shipping.
 	tok := tokenOwnedBy(t, ring, srv.opts.NodeAddr)
-	c, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
+	c, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestReplicationFailoverResume(t *testing.T) {
 	tok := tokenOwnedBy(t, rig.ring, owner)
 	successor := rig.ring.Candidates(tok)[1]
 
-	c, err := Dial(owner, Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
+	c, err := Dial(owner, wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestReplicationFailoverResume(t *testing.T) {
 	// The client read all n responses before the cut; the replica's cursor
 	// may trail it by up to the staleness bound. The resume must be warm
 	// with the cursor fast-forwarded to the client's, never behind it.
-	c2, err := Dial(successor, Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok, LastSeq: n})
+	c2, err := Dial(successor, wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tok, LastSeq: n})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cellular"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // RetryPolicy bounds a resilient client's reconnect loop: capped
@@ -44,7 +45,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 type ResilientOptions struct {
 	// Hello is the session context; Hello.SessionToken must be set (it is
 	// the resume identity) and unique per server.
-	Hello Hello
+	Hello wire.Hello
 	// Dial tunes the underlying connects.
 	Dial ClientOptions
 	// Retry bounds each recovery.
@@ -191,7 +192,7 @@ func (rc *ResilientClient) connectLocked(reconnect bool) error {
 		hello := rc.opts.Hello
 		hello.LastSeq = rc.lastSeq
 		c, err := DialWith(rc.candidates[rc.cur], hello, rc.opts.Dial)
-		var ack ResumeAck
+		var ack wire.ResumeAck
 		if err == nil {
 			ack, err = c.readAck()
 			if err != nil {
@@ -356,12 +357,12 @@ func (rc *ResilientClient) sendControl(send func(*Client) error) error {
 // recovers and keeps reading; server replay and pending-resend guarantee
 // every sent sample earns exactly one response, in seq order. io.EOF is
 // only returned once the stream was finished (Finish) and fully drained.
-func (rc *ResilientClient) ReadResponse() (Response, error) {
+func (rc *ResilientClient) ReadResponse() (wire.Response, error) {
 	for {
 		rc.mu.Lock()
 		if rc.closed {
 			rc.mu.Unlock()
-			return Response{}, errClientClosed
+			return wire.Response{}, errClientClosed
 		}
 		c, gen := rc.c, rc.gen
 		outstanding := len(rc.pending)
@@ -389,22 +390,22 @@ func (rc *ResilientClient) ReadResponse() (Response, error) {
 		}
 		var se *ServerError
 		if errors.As(err, &se) {
-			return Response{}, err
+			return wire.Response{}, err
 		}
 		if errors.Is(err, io.EOF) && finishing && outstanding == 0 {
-			return Response{}, io.EOF
+			return wire.Response{}, io.EOF
 		}
 		if rerr := rc.recover(gen); rerr != nil {
-			return Response{}, rerr
+			return wire.Response{}, rerr
 		}
 	}
 }
 
 // SendSample streams one radio sample and returns its prediction, the
 // blocking round trip closed-loop load uses.
-func (rc *ResilientClient) SendSample(smp trace.Sample) (Response, error) {
+func (rc *ResilientClient) SendSample(smp trace.Sample) (wire.Response, error) {
 	if err := rc.SendSampleAsync(smp); err != nil {
-		return Response{}, err
+		return wire.Response{}, err
 	}
 	return rc.ReadResponse()
 }

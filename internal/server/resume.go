@@ -7,6 +7,7 @@ import (
 	"repro/internal/cellular"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // replayBufCap bounds the per-session response replay buffer: a resumed
@@ -32,7 +33,7 @@ type warmKey struct {
 // depth. Every reader takes an oldest-first copy through last.
 type replayBuffer struct {
 	max  int
-	resp []Response
+	resp []wire.Response
 	// next is the slot the next push overwrites once the ring is full,
 	// which holds the oldest response; 0 until then.
 	next int
@@ -43,7 +44,7 @@ func newReplayBuffer(max int) *replayBuffer {
 }
 
 // push appends one response, overwriting the oldest past the cap.
-func (b *replayBuffer) push(r Response) {
+func (b *replayBuffer) push(r wire.Response) {
 	if len(b.resp) < b.max {
 		b.resp = append(b.resp, r)
 		return
@@ -56,7 +57,7 @@ func (b *replayBuffer) push(r Response) {
 
 // last returns a copy of the newest n responses, oldest first: all of
 // them when n exceeds the count, nil when there are none to copy.
-func (b *replayBuffer) last(n int) []Response {
+func (b *replayBuffer) last(n int) []wire.Response {
 	if b == nil {
 		return nil
 	}
@@ -67,7 +68,7 @@ func (b *replayBuffer) last(n int) []Response {
 	if start >= len(b.resp) {
 		start -= len(b.resp)
 	}
-	out := make([]Response, 0, n)
+	out := make([]wire.Response, 0, n)
 	out = append(out, b.resp[start:min(start+n, len(b.resp))]...)
 	return append(out, b.resp[:n-len(out)]...)
 }
@@ -83,7 +84,7 @@ func (b *replayBuffer) clone() *replayBuffer {
 // given the session cursor seq. It reports false when the buffer no longer
 // covers the gap (or the client claims a cursor ahead of the session) — the
 // caller must then cold-start rather than leave a hole in the stream.
-func (b *replayBuffer) after(last, seq int64) ([]Response, bool) {
+func (b *replayBuffer) after(last, seq int64) ([]wire.Response, bool) {
 	if last > seq {
 		return nil, false
 	}

@@ -55,7 +55,7 @@ func testSessionResumeReplaysLostResponses(t *testing.T, dial ClientOptions) {
 	}
 	defer srv.Close()
 
-	hello := Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-resume-1"}
+	hello := wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-resume-1"}
 	c1, err := DialWith(srv.Addr(), hello, dial)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestResumeGapColdStarts(t *testing.T) {
 	}
 	defer srv.Close()
 
-	hello := Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-gap"}
+	hello := wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-gap"}
 	c1, err := Dial(srv.Addr(), hello)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestSessionTimeoutResumeGraceInteraction(t *testing.T) {
 	}
 	defer srv.Close()
 
-	hello := Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-idle"}
+	hello := wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-idle"}
 	c1, err := Dial(srv.Addr(), hello)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestSessionTimeoutResumeGraceInteraction(t *testing.T) {
 	}
 
 	// The parked session must not hold the single MaxSessions slot.
-	c2, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchLTE})
+	c2, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSessionTimeoutResumeGraceInteraction(t *testing.T) {
 		return s.Parked == 0 && s.ParkedExpired >= 1
 	})
 	// ...and a resume attempt after expiry gets a cold start.
-	c3, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-idle", LastSeq: 1})
+	c3, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-idle", LastSeq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestParkedStateSurvivesResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	hello := Hello{Carrier: "OpX", Arch: cellular.ArchNSA, SessionToken: "ue-shipped"}
+	hello := wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA, SessionToken: "ue-shipped"}
 	c1, err := Dial(srv.Addr(), hello)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestParkedStateSurvivesResume(t *testing.T) {
 // through a session for the server-side learner to mine patterns.
 func learnSession(t *testing.T, addr string, dial ClientOptions) {
 	t.Helper()
-	c, err := DialWith(addr, Hello{Carrier: "OpX", Arch: cellular.ArchLTE}, dial)
+	c, err := DialWith(addr, wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE}, dial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func testCheckpointKillRestart(t *testing.T, dial ClientOptions) {
 
 	// A fresh session on the restarted server predicts warm: the learned
 	// A2→LTEH pattern fires on the first trigger report.
-	c, err := DialWith(srv2.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchLTE}, dial)
+	c, err := DialWith(srv2.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE}, dial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func testResilientClientThroughChaos(t *testing.T, dial ClientOptions) {
 	defer proxy.Close()
 
 	rc, err := DialResilient(proxy.Addr(), ResilientOptions{
-		Hello: Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-chaos"},
+		Hello: wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: "ue-chaos"},
 		Dial:  dial,
 		Retry: RetryPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		Seed:  1,

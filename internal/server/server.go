@@ -8,8 +8,7 @@
 // Records travel in one of two framings, negotiated in the hello and
 // specified normatively in docs/PROTOCOL.md: line-oriented JSONL (the
 // default) or an opt-in length-prefixed binary framing for high-rate
-// fleets. The protocol types themselves live in internal/wire; this
-// package re-exports them under their historical names.
+// fleets. The protocol types themselves live in internal/wire.
 //
 // The server is hardened for fleet-scale load (see internal/fleet): a
 // session-concurrency limit with polite over-limit rejection, per-session
@@ -43,21 +42,6 @@ import (
 
 // maxLineBytes bounds one JSONL protocol line (hello, record, response).
 const maxLineBytes = wire.MaxLineBytes
-
-// Protocol types, defined in internal/wire and re-exported here under
-// their historical names so existing callers keep compiling.
-type (
-	// Hello is the first line a client sends; see wire.Hello.
-	Hello = wire.Hello
-	// Record is one streamed observation; see wire.Record.
-	Record = wire.Record
-	// Response is the per-sample prediction; see wire.Response.
-	Response = wire.Response
-	// ResumeAck acknowledges a tokened hello; see wire.ResumeAck.
-	ResumeAck = wire.ResumeAck
-	// ErrorLine is the structured teardown error; see wire.ErrorLine.
-	ErrorLine = wire.ErrorLine
-)
 
 // Options tunes the hardening knobs of a Server. The zero value preserves
 // the historical behaviour: unlimited sessions, no deadlines.
@@ -469,9 +453,9 @@ type codec interface {
 	// io.EOF at a clean end of stream, a *protocolError for malformed
 	// records, wire.ErrLineTooLong/wire.ErrFrameTooLarge for oversized
 	// ones, and the transport error otherwise.
-	ReadRecord(rec *Record) error
-	WriteResponse(Response) error
-	WriteResumeAck(ResumeAck) error
+	ReadRecord(rec *wire.Record) error
+	WriteResponse(wire.Response) error
+	WriteResumeAck(wire.ResumeAck) error
 	// WriteError emits the structured teardown error in the session's
 	// framing (ErrorLine or FrameError).
 	WriteError(msg string) error
@@ -490,23 +474,23 @@ func newJSONLCodec(br *bufio.Reader, w *bufio.Writer) *jsonlCodec {
 	return &jsonlCodec{br: br, w: w, enc: json.NewEncoder(w)}
 }
 
-func (c *jsonlCodec) ReadRecord(rec *Record) error {
+func (c *jsonlCodec) ReadRecord(rec *wire.Record) error {
 	line, err := wire.ReadLine(c.br, maxLineBytes)
 	if err != nil {
 		return err
 	}
-	*rec = Record{}
+	*rec = wire.Record{}
 	if err := json.Unmarshal(line, rec); err != nil {
 		return &protocolError{err: err}
 	}
 	return nil
 }
 
-func (c *jsonlCodec) WriteResponse(r Response) error   { return c.enc.Encode(r) }
-func (c *jsonlCodec) WriteResumeAck(a ResumeAck) error { return c.enc.Encode(a) }
-func (c *jsonlCodec) WriteError(msg string) error      { return c.enc.Encode(ErrorLine{Error: msg}) }
-func (c *jsonlCodec) Buffered() int                    { return c.br.Buffered() }
-func (c *jsonlCodec) Flush() error                     { return c.w.Flush() }
+func (c *jsonlCodec) WriteResponse(r wire.Response) error   { return c.enc.Encode(r) }
+func (c *jsonlCodec) WriteResumeAck(a wire.ResumeAck) error { return c.enc.Encode(a) }
+func (c *jsonlCodec) WriteError(msg string) error           { return c.enc.Encode(wire.ErrorLine{Error: msg}) }
+func (c *jsonlCodec) Buffered() int                         { return c.br.Buffered() }
+func (c *jsonlCodec) Flush() error                          { return c.w.Flush() }
 
 // binaryCodec is the negotiated length-prefixed framing. Decoded record
 // payloads live in the codec's scratch fields and are overwritten by the
@@ -538,7 +522,7 @@ func ackBinary(br *bufio.Reader, w *bufio.Writer) (*binaryCodec, error) {
 	return newBinaryCodec(br, w), err
 }
 
-func (c *binaryCodec) ReadRecord(rec *Record) error {
+func (c *binaryCodec) ReadRecord(rec *wire.Record) error {
 	typ, p, err := c.fr.ReadFrame()
 	if err != nil {
 		return err
@@ -566,11 +550,11 @@ func (c *binaryCodec) ReadRecord(rec *Record) error {
 	return nil
 }
 
-func (c *binaryCodec) WriteResponse(r Response) error   { return c.fw.WriteResponse(r) }
-func (c *binaryCodec) WriteResumeAck(a ResumeAck) error { return c.fw.WriteResumeAck(a) }
-func (c *binaryCodec) WriteError(msg string) error      { return c.fw.WriteError(msg) }
-func (c *binaryCodec) Buffered() int                    { return c.fr.Buffered() }
-func (c *binaryCodec) Flush() error                     { return c.w.Flush() }
+func (c *binaryCodec) WriteResponse(r wire.Response) error   { return c.fw.WriteResponse(r) }
+func (c *binaryCodec) WriteResumeAck(a wire.ResumeAck) error { return c.fw.WriteResumeAck(a) }
+func (c *binaryCodec) WriteError(msg string) error           { return c.fw.WriteError(msg) }
+func (c *binaryCodec) Buffered() int                         { return c.fr.Buffered() }
+func (c *binaryCodec) Flush() error                          { return c.w.Flush() }
 
 // serve runs one session and accounts its outcome: session errors are
 // counted and, when the transport still works, reported to the client as a
@@ -596,7 +580,7 @@ func (s *Server) serve(conn net.Conn) {
 			// owning node so the client re-dials there instead of retrying.
 			s.stats.SessionRedirected()
 			enc := json.NewEncoder(w)
-			if enc.Encode(ErrorLine{Error: err.Error(), Redirect: re.owner}) == nil && w.Flush() == nil {
+			if enc.Encode(wire.ErrorLine{Error: err.Error(), Redirect: re.owner}) == nil && w.Flush() == nil {
 				conn.SetReadDeadline(time.Now().Add(time.Second))
 				io.Copy(io.Discard, conn)
 			}
@@ -637,7 +621,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		}
 		return nil, fmt.Errorf("server: reading hello: %w", err)
 	}
-	var hello Hello
+	var hello wire.Hello
 	if err := json.Unmarshal(helloLine, &hello); err != nil {
 		return nil, fmt.Errorf("server: bad hello: %w", err)
 	}
@@ -714,7 +698,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		prog   *core.Prognos
 		seq    int64
 		buf    *replayBuffer
-		replay []Response
+		replay []wire.Response
 	)
 	resumed := false
 	if resumable {
@@ -813,7 +797,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		// Always acknowledge a token (even when resume is disabled
 		// server-side: resumed=false tells the client to start fresh),
 		// then replay what the client missed.
-		if err := cdc.WriteResumeAck(ResumeAck{ResumeAck: true, Resumed: resumed, Seq: seq}); err != nil {
+		if err := cdc.WriteResumeAck(wire.ResumeAck{ResumeAck: true, Resumed: resumed, Seq: seq}); err != nil {
 			return fault(err)
 		}
 		for _, r := range replay {
@@ -835,7 +819,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 	// goroutine snapshotting, no lock on the hot path.
 	replicating := resumable && s.opts.ReplicationInterval > 0
 	var lastRepGen int64
-	var rec Record
+	var rec wire.Record
 	for {
 		if err := cdc.ReadRecord(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -869,7 +853,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			pred := prog.Predict()
 			s.stats.AddPrediction()
 			seq++
-			resp := Response{
+			resp := wire.Response{
 				Time:       rec.Sample.Time,
 				Type:       pred.Type,
 				TypeName:   pred.Type.String(),
@@ -994,7 +978,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // Dial connects with default options and sends the hello.
-func Dial(addr string, hello Hello) (*Client, error) {
+func Dial(addr string, hello wire.Hello) (*Client, error) {
 	return DialWith(addr, hello, ClientOptions{})
 }
 
@@ -1002,7 +986,7 @@ func Dial(addr string, hello Hello) (*Client, error) {
 // framing negotiation. For binary framing it reads the server's
 // FramingAck before returning; a structured rejection surfaces as a
 // *ServerError.
-func DialWith(addr string, hello Hello, opts ClientOptions) (*Client, error) {
+func DialWith(addr string, hello wire.Hello, opts ClientOptions) (*Client, error) {
 	opts = opts.withDefaults()
 	want := string(opts.Framing)
 	if want == "" {
@@ -1090,7 +1074,7 @@ func (c *Client) SendReport(mr cellular.MeasurementReport) error {
 	if c.fw != nil {
 		return c.fw.WriteReport(&mr)
 	}
-	return c.enc.Encode(Record{Report: &mr})
+	return c.enc.Encode(wire.Record{Report: &mr})
 }
 
 // SendHandover streams one sniffed handover command (buffered like
@@ -1099,13 +1083,13 @@ func (c *Client) SendHandover(ho cellular.HandoverEvent) error {
 	if c.fw != nil {
 		return c.fw.WriteHandover(&ho)
 	}
-	return c.enc.Encode(Record{HO: &ho})
+	return c.enc.Encode(wire.Record{HO: &ho})
 }
 
 // SendSample streams one radio sample and returns the server's prediction.
-func (c *Client) SendSample(smp trace.Sample) (Response, error) {
+func (c *Client) SendSample(smp trace.Sample) (wire.Response, error) {
 	if err := c.SendSampleAsync(smp); err != nil {
-		return Response{}, err
+		return wire.Response{}, err
 	}
 	return c.ReadResponse()
 }
@@ -1120,7 +1104,7 @@ func (c *Client) SendSampleAsync(smp trace.Sample) error {
 	if c.fw != nil {
 		err = c.fw.WriteSample(&smp)
 	} else {
-		err = c.enc.Encode(Record{Sample: &smp})
+		err = c.enc.Encode(wire.Record{Sample: &smp})
 	}
 	if err != nil {
 		return err
@@ -1150,44 +1134,44 @@ func (e *ServerError) Error() string { return "server: session error: " + e.Msg 
 // *ServerError carrying the server's message. Under NoAutoFlush,
 // ReadResponse first flushes any buffered writes so a blocked read can
 // never deadlock against records the client still holds locally.
-func (c *Client) ReadResponse() (Response, error) {
+func (c *Client) ReadResponse() (wire.Response, error) {
 	if !c.autoFlush && c.w.Buffered() > 0 {
 		if err := c.w.Flush(); err != nil {
-			return Response{}, err
+			return wire.Response{}, err
 		}
 	}
 	if c.fr != nil {
 		typ, p, err := c.fr.ReadFrame()
 		if err != nil {
-			return Response{}, err
+			return wire.Response{}, err
 		}
 		switch typ {
 		case wire.FrameResponse:
-			var r Response
+			var r wire.Response
 			if err := wire.DecodeResponse(p, &r); err != nil {
-				return Response{}, fmt.Errorf("server: bad response: %w", err)
+				return wire.Response{}, fmt.Errorf("server: bad response: %w", err)
 			}
 			return r, nil
 		case wire.FrameError:
-			return Response{}, &ServerError{Msg: string(p)}
+			return wire.Response{}, &ServerError{Msg: string(p)}
 		default:
-			return Response{}, fmt.Errorf("server: unexpected frame type 0x%02x", typ)
+			return wire.Response{}, fmt.Errorf("server: unexpected frame type 0x%02x", typ)
 		}
 	}
 	line, err := wire.ReadLine(c.br, maxLineBytes)
 	if err != nil {
-		return Response{}, err
+		return wire.Response{}, err
 	}
 	var env struct {
-		Response
+		wire.Response
 		Err      string `json:"error"`
 		Redirect string `json:"redirect"`
 	}
 	if err := json.Unmarshal(line, &env); err != nil {
-		return Response{}, fmt.Errorf("server: bad response: %w", err)
+		return wire.Response{}, fmt.Errorf("server: bad response: %w", err)
 	}
 	if env.Err != "" {
-		return Response{}, &ServerError{Msg: env.Err, Redirect: env.Redirect}
+		return wire.Response{}, &ServerError{Msg: env.Err, Redirect: env.Redirect}
 	}
 	return env.Response, nil
 }
@@ -1195,42 +1179,42 @@ func (c *Client) ReadResponse() (Response, error) {
 // readAck reads the ResumeAck the server sends for a tokened hello. An
 // error record in its place (e.g. over-limit rejection) surfaces as a
 // *ServerError.
-func (c *Client) readAck() (ResumeAck, error) {
+func (c *Client) readAck() (wire.ResumeAck, error) {
 	if c.fr != nil {
 		typ, p, err := c.fr.ReadFrame()
 		if err != nil {
-			return ResumeAck{}, err
+			return wire.ResumeAck{}, err
 		}
 		switch typ {
 		case wire.FrameResumeAck:
-			var a ResumeAck
+			var a wire.ResumeAck
 			if err := wire.DecodeResumeAck(p, &a); err != nil {
-				return ResumeAck{}, fmt.Errorf("server: bad resume ack: %w", err)
+				return wire.ResumeAck{}, fmt.Errorf("server: bad resume ack: %w", err)
 			}
 			return a, nil
 		case wire.FrameError:
-			return ResumeAck{}, &ServerError{Msg: string(p)}
+			return wire.ResumeAck{}, &ServerError{Msg: string(p)}
 		default:
-			return ResumeAck{}, fmt.Errorf("server: expected resume ack, got frame type 0x%02x", typ)
+			return wire.ResumeAck{}, fmt.Errorf("server: expected resume ack, got frame type 0x%02x", typ)
 		}
 	}
 	line, err := wire.ReadLine(c.br, maxLineBytes)
 	if err != nil {
-		return ResumeAck{}, err
+		return wire.ResumeAck{}, err
 	}
 	var env struct {
-		ResumeAck
+		wire.ResumeAck
 		Err      string `json:"error"`
 		Redirect string `json:"redirect"`
 	}
 	if err := json.Unmarshal(line, &env); err != nil {
-		return ResumeAck{}, fmt.Errorf("server: bad resume ack: %w", err)
+		return wire.ResumeAck{}, fmt.Errorf("server: bad resume ack: %w", err)
 	}
 	if env.Err != "" {
-		return ResumeAck{}, &ServerError{Msg: env.Err, Redirect: env.Redirect}
+		return wire.ResumeAck{}, &ServerError{Msg: env.Err, Redirect: env.Redirect}
 	}
 	if !env.ResumeAck.ResumeAck {
-		return ResumeAck{}, fmt.Errorf("server: expected resume ack, got %q", line)
+		return wire.ResumeAck{}, fmt.Errorf("server: expected resume ack, got %q", line)
 	}
 	return env.ResumeAck, nil
 }
@@ -1239,7 +1223,7 @@ func (c *Client) readAck() (ResumeAck, error) {
 // returns its run-metrics snapshot. This is what `prognosd` deployments
 // use for liveness dashboards. Stats sessions are always JSONL.
 func FetchStats(addr string) (metrics.ServerSnapshot, error) {
-	c, err := Dial(addr, Hello{Stats: true})
+	c, err := Dial(addr, wire.Hello{Stats: true})
 	if err != nil {
 		return metrics.ServerSnapshot{}, err
 	}

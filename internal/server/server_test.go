@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cellular"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 func mkSample(at time.Duration, rsrp float64) trace.Sample {
@@ -27,7 +28,7 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	client, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr(), Hello{Carrier: "OpY", Arch: cellular.ArchNSA})
+			c, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpY", Arch: cellular.ArchNSA})
 			if err != nil {
 				t.Error(err)
 				return
@@ -99,7 +100,7 @@ func TestServerStats(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	client, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchLTE})
+	client, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE})
 	if err != nil {
 		t.Fatal(err)
 	}

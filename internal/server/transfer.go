@@ -45,7 +45,7 @@ func newPrognos(carrier string, arch cellular.Arch, disableReportPredictor bool)
 // faults mid-stream are interruptions, not session errors: the shipper may
 // be a node dying mid-push, and a crash already under way must not inflate
 // this node's error counters.
-func (s *Server) serveTransfer(hello *Hello, br *bufio.Reader, w *bufio.Writer, framing wire.Framing, hold bool) (codec, error) {
+func (s *Server) serveTransfer(hello *wire.Hello, br *bufio.Reader, w *bufio.Writer, framing wire.Framing, hold bool) (codec, error) {
 	if hold && s.opts.Cluster == nil {
 		return nil, errors.New("server: replication stream on a non-clustered server")
 	}

@@ -74,7 +74,7 @@ func dialTransfer(t *testing.T, addr string, hold bool) *transferStream {
 	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
-	hello, err := json.Marshal(Hello{Migrate: !hold, Replicate: hold, Node: "test-peer", Framing: string(wire.FramingBinary)})
+	hello, err := json.Marshal(wire.Hello{Migrate: !hold, Replicate: hold, Node: "test-peer", Framing: string(wire.FramingBinary)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestDrainCountsAckedStatesOnce(t *testing.T) {
 
 	// One live session: the drain ships its state first, then the warm
 	// context snapshot it left behind — the frame the stub never acks.
-	c, err := Dial(srv.Addr(), Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tokenOwnedBy(t, ring, srv.opts.NodeAddr)})
+	c, err := Dial(srv.Addr(), wire.Hello{Carrier: "OpX", Arch: cellular.ArchLTE, SessionToken: tokenOwnedBy(t, ring, srv.opts.NodeAddr)})
 	if err != nil {
 		t.Fatal(err)
 	}

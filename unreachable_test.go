@@ -15,7 +15,6 @@ var keep = map[string]string{
 	"(*repro/internal/radio.LinearForecaster).Ready":      "the report predictor's test oracle compares against it",
 	"(*repro/internal/core.DecisionLearner).Match":        "public API: repro.Prognos.Learner() hands the learner to callers outside the module",
 	"(*repro/internal/server.protocolError).Unwrap":       "errors.Is and errors.As call it through an interface literal of the standard library",
-	"repro/internal/ran.DefaultAdaptive":                  "the adaptive-control fixture of the ran, sim and experiments tests",
 	"(*repro/internal/server.ResilientClient).SendSample": "the server tests drive sessions through it",
 	"(*repro/internal/server.ResilientClient).Addr":       "the redirect tests assert through it which node a client ends on",
 	"(*repro/internal/server.tokenTable[V]).size":         "the replica and parked-table tests observe their bounds through it",
