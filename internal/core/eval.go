@@ -38,7 +38,8 @@ type TickPrediction struct {
 func Replay(p Predictor, log *trace.Log) []TickPrediction {
 	out := make([]TickPrediction, 0, len(log.Samples))
 	ri, hi := 0, 0
-	for _, s := range log.Samples {
+	for i := range log.Samples {
+		s := &log.Samples[i]
 		// Deliver control-plane events up to this sample's time.
 		for ri < len(log.Reports) && log.Reports[ri].Time <= s.Time {
 			p.OnReport(log.Reports[ri])
@@ -48,7 +49,7 @@ func Replay(p Predictor, log *trace.Log) []TickPrediction {
 			p.OnHandover(log.Handovers[hi])
 			hi++
 		}
-		p.OnSample(s)
+		p.OnSample(*s)
 		pred := p.Predict()
 		out = append(out, TickPrediction{Time: s.Time, Type: pred.Type, PatternKey: pred.PatternKey})
 	}

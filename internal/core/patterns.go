@@ -301,7 +301,11 @@ const (
 // reliability (§7.2). The optional admit predicate applies the caller's
 // sanity checks (radio-state feasibility, reliability gating).
 func (l *DecisionLearner) Match(seq []string, admit func(Pattern) bool) (Pattern, float64, bool) {
-	bst, _, score, ok := l.match(seq, admit)
+	var admitPtr func(*Pattern) bool
+	if admit != nil {
+		admitPtr = func(p *Pattern) bool { return admit(*p) }
+	}
+	bst, _, score, ok := l.match(seq, admitPtr)
 	if !ok {
 		return Pattern{}, 0, false
 	}
@@ -314,8 +318,9 @@ func (l *DecisionLearner) Match(seq []string, admit func(Pattern) bool) (Pattern
 // bucket of seq's final key and returns the stored pattern plus its interned
 // canonical key. Callers must treat the returned *Pattern as read-only and
 // must not retain it across learner mutations (Match copies; the prediction
-// hot path reads and drops it within the same tick).
-func (l *DecisionLearner) match(seq []string, admit func(Pattern) bool) (*Pattern, string, float64, bool) {
+// hot path reads and drops it within the same tick). admit reads each
+// candidate in place, and must not modify it.
+func (l *DecisionLearner) match(seq []string, admit func(*Pattern) bool) (*Pattern, string, float64, bool) {
 	if len(seq) == 0 {
 		return nil, "", 0, false
 	}
@@ -328,7 +333,7 @@ func (l *DecisionLearner) match(seq []string, admit func(Pattern) bool) (*Patter
 		if p.Hits+p.Misses >= reliabilityTrials && p.Reliability() < reliabilityFloor {
 			continue
 		}
-		if admit != nil && !admit(*p) {
+		if admit != nil && !admit(p) {
 			continue
 		}
 		if !isSubsequence(p.Seq, seq) {

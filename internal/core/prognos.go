@@ -93,8 +93,8 @@ type Prognos struct {
 	predScratch []PredictedReport
 	// admitObserved/admitForecast are the match sanity predicates, built
 	// once in New so Predict does not allocate a closure per call.
-	admitObserved func(Pattern) bool
-	admitForecast func(Pattern) bool
+	admitObserved func(*Pattern) bool
+	admitForecast func(*Pattern) bool
 }
 
 // New creates a Prognos instance.
@@ -133,12 +133,12 @@ func New(cfg Config) (*Prognos, error) {
 		scores:  cfg.Scores,
 		stepDur: stepDur,
 	}
-	p.admitObserved = func(pat Pattern) bool { return p.admit(pat.HO) }
+	p.admitObserved = func(pat *Pattern) bool { return p.admit(pat.HO) }
 	// Forecast-anchored predictions only use patterns whose reliability has
 	// been proven through observed-anchor feedback: forecasts are the
 	// early-warning extension of trusted rules, not a vehicle for unvetted
 	// ones.
-	p.admitForecast = func(pat Pattern) bool {
+	p.admitForecast = func(pat *Pattern) bool {
 		return p.admit(pat.HO) && pat.Hits+pat.Misses >= 5 && pat.Reliability() >= 0.5
 	}
 	return p, nil

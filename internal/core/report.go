@@ -1,83 +1,36 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/cellular"
-	"repro/internal/radio"
 	"repro/internal/trace"
 )
 
-// signalTrack follows one RRS stream (e.g. "serving LTE RSRP"): a
-// triangular-kernel smoother to strip fast fading followed by a
-// linear-regression forecaster over the history window (§7.2's report
-// predictor internals).
-type signalTrack struct {
-	smoother *radio.TriangularSmoother
-	forecast *radio.LinearForecaster
-	valid    bool
-	last     float64
-}
-
-func newSignalTrack(smoothWin, histWin int) signalTrack {
-	sm, err := radio.NewTriangularSmoother(smoothWin)
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	fc, err := radio.NewLinearForecaster(histWin)
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	return signalTrack{smoother: sm, forecast: fc}
-}
-
-// push feeds one sample (valid=false resets the track, e.g. after the UE
-// detaches from the measured cell).
-func (t *signalTrack) push(v float64, valid bool) {
-	if !valid {
-		t.valid = false
-		t.smoother.Reset()
-		t.forecast.Reset()
-		return
-	}
-	t.valid = true
-	sm := t.smoother.Push(v)
-	t.forecast.Push(sm)
-	t.last = sm
-}
-
 // trackView freezes one signal track for one pass over the event configs:
-// its validity, its smoothed value now and, once fitted, its forecast line.
-// A pass reads each track once, so each track is fitted at most once per
-// prediction however many configs and look-ahead steps read it.
+// its validity, its smoothed value now and, once fitted, its forecast line
+// a + b*(x0+k). A pass reads each track once, so each track is fitted at
+// most once per prediction however many configs and look-ahead steps read
+// it.
 type trackView struct {
-	valid  bool
-	last   float64
-	fitted bool
-	line   radio.Line
-}
-
-// current freezes the track's present reading, enough for k = 0.
-func (t *signalTrack) current() trackView { return trackView{valid: t.valid, last: t.last} }
-
-// frozen freezes the track together with its fitted forecast line.
-func (t *signalTrack) frozen() trackView {
-	v := t.current()
-	v.line, v.fitted = t.forecast.Line()
-	return v
+	valid, fitted bool
+	last          float64
+	a, b, x0      float64 // intercept, slope per step, x of the newest sample
 }
 
 // at is the track's value k steps ahead: the smoothed value now for k = 0
-// or before the forecaster has a fit, the fitted line's forecast after.
+// or before the track has a fit, the fitted line's forecast after. It is
+// the one expression every forecast is computed by.
 func (v *trackView) at(k int) float64 {
 	if k <= 0 || !v.fitted {
 		return v.last
 	}
-	return v.line.At(k)
+	return v.a + v.b*(v.x0+float64(k))
 }
 
-// slope is the fitted slope per step (0 before the forecaster has a fit).
-func (v *trackView) slope() float64 { return v.line.B }
+// slope is the fitted slope per step (0 before the track has a fit).
+func (v *trackView) slope() float64 { return v.b }
 
 // entering is the one evaluation of an event's entering condition: on the
 // frozen tracks k steps ahead (k = 0 reads the smoothed values now), with
@@ -124,9 +77,11 @@ func (p PredictedReport) Key() string {
 // conditions that have held past TTT are assumed already reported.
 type ReportPredictor struct {
 	configs []cellular.EventConfig
+	// steps holds, per config, its TTT and the lead of its forecast
+	// periodic repeat in samples, derived once per config table.
+	steps []eventSteps
 
-	// tracks are indexed servLTE, neighLTE, servNR, neighNR.
-	tracks [4]signalTrack
+	tracks tracks
 
 	// heldSteps tracks, per config, how many consecutive samples the
 	// entering condition has held on the smoothed measurements.
@@ -137,11 +92,20 @@ type ReportPredictor struct {
 	// until the condition forecast clears — otherwise a hovering trend
 	// keeps predicting a crossing that never comes.
 	edgeActive []int
+	// enteringNow holds, per config, the entering condition on the newest
+	// smoothed values: Observe's test, which PredictInto reads back as its
+	// k = 0 case. SetConfigs and SetState re-evaluate it.
+	enteringNow []bool
 
 	// predictionSteps is the look-ahead horizon in samples.
 	predictionSteps int
 	stepDur         time.Duration
 }
+
+// eventSteps is one event config's durations in samples: its TTT (at least
+// 1), and the lead of a forecast periodic repeat (half the report interval,
+// at least 1; 0 for an event that does not re-report).
+type eventSteps struct{ ttt, repeat int }
 
 // forecastMarginDB makes rising-edge forecasts conservative: the predicted
 // signals must clear the trigger condition by this margin. Linear fits over
@@ -187,22 +151,95 @@ func approachSignificant(cfg *cellular.EventConfig, servSlope, neighSlope float6
 	}
 }
 
-// enteringMonotone reports whether every track the event reads moves toward
-// its trigger or stands still, so that the forecast entering condition can
-// only turn from false to true as the look-ahead grows.
-func enteringMonotone(cfg *cellular.EventConfig, servSlope, neighSlope float64) bool {
+// enteringMonotone reports whether the forecast entering condition, with
+// the margin, can only turn from false to true as the look-ahead k grows.
+// Each forecast is a + b*(x0+k) on one frozen line, or a constant for an
+// unfitted track and for A1/A2's missing neighbour.
+//
+// When every track the event reads moves toward its trigger or stands
+// still (A1: serving slope >= 0; A2: serving <= 0; A4/B1: neighbour >= 0;
+// A3/A5: serving <= 0 and neighbour >= 0), round-to-nearest keeps each
+// forecast, the margin and Entering's additions and comparisons monotone
+// in k, with or without a fused multiply-add, whatever the magnitudes.
+//
+// An A3 whose approach passed approachSignificant is monotone under a
+// guard even when both slopes share a sign. Its computed test is
+// (n(k) - m) - h > (s(k) + m) + off, and the exact difference of the two
+// sides rises by nB - sB per step, which approachSignificant puts at
+// 0.008 dB or more (less its own rounding, under 2e-12). With |a|,
+// |b|*(x0+horizon) and the smoothed value of both tracks, and |h| and
+// |off|, below 1e4, every intermediate stays below 2^15, so each of a
+// side's four roundings is at most 2^-39 and a side is off by under
+// 1e-11 dB. The computed difference therefore still rises by more than
+// 0.008 - 4e-11 per step: strictly increasing, with or without a fused
+// multiply-add. Outside the guard (NaN, Inf, huge values: near 1e15 dB an
+// ulp is 0.125 dB and the test can read true, false, true) and for A5
+// with unfavourable slopes the caller scans step by step.
+func enteringMonotone(cfg *cellular.EventConfig, serv, neigh *trackView, horizon int) bool {
+	s, n := serv.slope(), neigh.slope()
 	switch cfg.Type {
 	case cellular.EventA1:
-		return servSlope >= 0
+		return s >= 0
 	case cellular.EventA2:
-		return servSlope <= 0
+		return s <= 0
 	case cellular.EventA4, cellular.EventB1:
-		return neighSlope >= 0
-	case cellular.EventA3, cellular.EventA5:
-		return servSlope <= 0 && neighSlope >= 0
+		return n >= 0
+	case cellular.EventA5:
+		return s <= 0 && n >= 0
+	case cellular.EventA3:
+		return s <= 0 && n >= 0 || serv.bounded(horizon) && neigh.bounded(horizon) &&
+			math.Abs(cfg.Hysteresis) < monotoneBound && math.Abs(cfg.Offset) < monotoneBound
 	default:
 		return false
 	}
+}
+
+// monotoneBound is enteringMonotone's guard on an A3's magnitudes, in dB.
+const monotoneBound = 1e4
+
+// bounded reports whether the view's forecasts up to horizon steps ahead
+// stay inside enteringMonotone's guard.
+func (v *trackView) bounded(horizon int) bool {
+	return math.Abs(v.last) < monotoneBound && math.Abs(v.a) < monotoneBound &&
+		math.Abs(v.b*(v.x0+float64(horizon))) < monotoneBound
+}
+
+// risingEdge returns the look-ahead step at which the forecast entering
+// condition, with the margin, has held for need consecutive steps, or 0
+// when that does not happen within horizon steps. The caller has passed
+// approachSignificant. Where the condition is monotone in k it reads
+// false...false, true...true, so the first true step k* is bisected and
+// the edge completes at k* + need - 1, exactly where the step-by-step scan
+// would stop; a condition false at the horizon is false at every step.
+func risingEdge(cfg *cellular.EventConfig, serv, neigh *trackView, horizon, need int) int {
+	if enteringMonotone(cfg, serv, neigh, horizon) {
+		if !entering(cfg, serv, neigh, horizon, forecastMarginDB) {
+			return 0
+		}
+		lo, hi := 1, horizon
+		for lo < hi {
+			if mid := (lo + hi) / 2; entering(cfg, serv, neigh, mid, forecastMarginDB) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if k := lo + need - 1; k <= horizon {
+			return k
+		}
+		return 0
+	}
+	held := 0
+	for k := 1; k <= horizon; k++ {
+		if !entering(cfg, serv, neigh, k, forecastMarginDB) {
+			held = 0
+			continue
+		}
+		if held++; held >= need {
+			return k
+		}
+	}
+	return 0
 }
 
 // NewReportPredictor creates a report predictor. smoothWin/histWin are in
@@ -210,15 +247,11 @@ func enteringMonotone(cfg *cellular.EventConfig, servSlope, neighSlope float64) 
 // prediction window length in samples.
 func NewReportPredictor(configs []cellular.EventConfig, smoothWin, histWin, predSteps int, stepDur time.Duration) *ReportPredictor {
 	r := &ReportPredictor{
-		configs:         configs,
-		heldSteps:       make([]int, len(configs)),
-		edgeActive:      make([]int, len(configs)),
+		tracks:          newTracks(smoothWin, histWin),
 		predictionSteps: predSteps,
 		stepDur:         stepDur,
 	}
-	for i := range r.tracks {
-		r.tracks[i] = newSignalTrack(smoothWin, histWin)
-	}
+	r.SetConfigs(configs)
 	return r
 }
 
@@ -226,29 +259,43 @@ func NewReportPredictor(configs []cellular.EventConfig, smoothWin, histWin, pred
 // reconfiguration).
 func (r *ReportPredictor) SetConfigs(configs []cellular.EventConfig) {
 	r.configs = configs
+	r.steps = make([]eventSteps, len(configs))
+	for i := range configs {
+		r.steps[i].ttt = max(1, int(configs[i].TTT/r.stepDur))
+		if configs[i].ReportInterval > 0 {
+			r.steps[i].repeat = max(1, int(configs[i].ReportInterval/r.stepDur)/2)
+		}
+	}
 	r.heldSteps = make([]int, len(configs))
 	r.edgeActive = make([]int, len(configs))
+	r.enteringNow = make([]bool, len(configs))
+	r.evaluateNow()
 }
 
 // Observe feeds one 20 Hz cross-layer sample and advances the per-event
 // condition trackers.
 func (r *ReportPredictor) Observe(s *trace.Sample) {
-	r.tracks[servLTE].push(s.ServingLTE.RSRP, s.ServingLTE.Valid)
-	r.tracks[neighLTE].push(s.NeighborLTE.RSRP, s.NeighborLTE.Valid)
-	r.tracks[servNR].push(s.ServingNR.RSRP, s.ServingNR.Valid)
-	r.tracks[neighNR].push(s.NeighborNR.RSRP, s.NeighborNR.Valid)
-	var v [4]trackView
-	for j := range v {
-		v[j] = r.tracks[j].current()
-	}
-	for i := range r.configs {
-		cfg := &r.configs[i]
-		si, ni := tracksFor(cfg)
-		if entering(cfg, &v[si], &v[ni], 0, 0) {
+	r.tracks.push(
+		[4]float64{s.ServingLTE.RSRP, s.NeighborLTE.RSRP, s.ServingNR.RSRP, s.NeighborNR.RSRP},
+		[4]bool{s.ServingLTE.Valid, s.NeighborLTE.Valid, s.ServingNR.Valid, s.NeighborNR.Valid})
+	r.evaluateNow()
+	for i, on := range r.enteringNow {
+		if on {
 			r.heldSteps[i]++
 		} else {
 			r.heldSteps[i] = 0
 		}
+	}
+}
+
+// evaluateNow evaluates every config's entering condition on the newest
+// smoothed values into enteringNow.
+func (r *ReportPredictor) evaluateNow() {
+	v := r.tracks.views()
+	for i := range r.configs {
+		cfg := &r.configs[i]
+		si, ni := tracksFor(cfg)
+		r.enteringNow[i] = entering(cfg, &v[si], &v[ni], 0, 0)
 	}
 }
 
@@ -266,34 +313,16 @@ func tracksFor(cfg *cellular.EventConfig) (serv, neigh int) {
 	return servLTE, neighLTE
 }
 
-// trackState exports one signal track for checkpointing.
-func (t *signalTrack) state() TrackState {
-	return TrackState{
-		Valid:   t.valid,
-		Last:    t.last,
-		Smooth:  t.smoother.Samples(),
-		History: t.forecast.History(),
-	}
-}
-
-// setState restores a signal track exported with state.
-func (t *signalTrack) setState(st TrackState) {
-	t.valid = st.Valid
-	t.last = st.Last
-	t.smoother.SetSamples(st.Smooth)
-	t.forecast.SetHistory(st.History)
-}
-
 // State exports the report predictor's smoothing and condition-tracking
 // state for checkpointing: the four signal tracks plus the per-event TTT
 // and edge-debounce counters. SetState is the inverse; counter slices are
 // truncated or zero-extended to the current event-configuration count.
 func (r *ReportPredictor) State() ReportState {
 	return ReportState{
-		ServLTE:    r.tracks[servLTE].state(),
-		NeighLTE:   r.tracks[neighLTE].state(),
-		ServNR:     r.tracks[servNR].state(),
-		NeighNR:    r.tracks[neighNR].state(),
+		ServLTE:    r.tracks.state(servLTE),
+		NeighLTE:   r.tracks.state(neighLTE),
+		ServNR:     r.tracks.state(servNR),
+		NeighNR:    r.tracks.state(neighNR),
 		Held:       append([]int(nil), r.heldSteps...),
 		EdgeActive: append([]int(nil), r.edgeActive...),
 	}
@@ -301,14 +330,15 @@ func (r *ReportPredictor) State() ReportState {
 
 // SetState restores a report-predictor checkpoint exported with State.
 func (r *ReportPredictor) SetState(st ReportState) {
-	r.tracks[servLTE].setState(st.ServLTE)
-	r.tracks[neighLTE].setState(st.NeighLTE)
-	r.tracks[servNR].setState(st.ServNR)
-	r.tracks[neighNR].setState(st.NeighNR)
+	r.tracks.setState(servLTE, st.ServLTE)
+	r.tracks.setState(neighLTE, st.NeighLTE)
+	r.tracks.setState(servNR, st.ServNR)
+	r.tracks.setState(neighNR, st.NeighNR)
 	r.heldSteps = make([]int, len(r.configs))
 	r.edgeActive = make([]int, len(r.configs))
 	copy(r.heldSteps, st.Held)
 	copy(r.edgeActive, st.EdgeActive)
+	r.evaluateNow()
 }
 
 // PredictInto forecasts the measurement reports expected within the
@@ -327,17 +357,8 @@ func (r *ReportPredictor) SetState(st ReportState) {
 // returned slice is only valid until the caller's next PredictInto call
 // with the same backing array.
 func (r *ReportPredictor) PredictInto(out []PredictedReport) []PredictedReport {
-	tttSteps := func(ttt time.Duration) int {
-		st := int(ttt / r.stepDur)
-		if st < 1 {
-			st = 1
-		}
-		return st
-	}
-	var v [4]trackView
-	for j := range v {
-		v[j] = r.tracks[j].frozen()
-	}
+	v := r.tracks.views()
+	r.tracks.fit(&v)
 	for i := range r.configs {
 		cfg := &r.configs[i]
 		si, ni := tracksFor(cfg)
@@ -345,18 +366,14 @@ func (r *ReportPredictor) PredictInto(out []PredictedReport) []PredictedReport {
 		if !serv.valid && cfg.Type != cellular.EventB1 {
 			continue
 		}
-		need := tttSteps(cfg.TTT)
-		if entering(cfg, serv, neigh, 0, 0) {
+		need := r.steps[i].ttt
+		if r.enteringNow[i] {
 			r.edgeActive[i] = 0
 			if r.heldSteps[i] >= need {
 				// Case 1: already reported. If the event re-reports
 				// periodically and the condition persists, the repeat is
 				// forecast at roughly the report interval.
-				if cfg.ReportInterval > 0 {
-					lead := int(cfg.ReportInterval/r.stepDur) / 2
-					if lead < 1 {
-						lead = 1
-					}
+				if lead := r.steps[i].repeat; lead > 0 {
 					out = append(out, PredictedReport{Event: cfg.Type, Tech: cfg.Tech, LeadSteps: lead, Repeat: true})
 				}
 				continue
@@ -375,41 +392,16 @@ func (r *ReportPredictor) PredictInto(out []PredictedReport) []PredictedReport {
 			r.edgeActive[i] = 0
 			continue
 		}
-		horizon := r.predictionSteps + need
-		// A scan that cannot fire is skipped. When every track the event
-		// reads moves toward its trigger or stands still, the forecast
-		// condition can only turn on as k grows: each forecast is
-		// a + b*(x0+k) on one frozen line, which round-to-nearest keeps
-		// monotone in k with or without a fused multiply-add, and so are
-		// the margin and Entering's additions and comparisons. An unfitted
-		// track forecasts a constant, as does a missing neighbour of A1/A2.
-		// If the condition then fails at the horizon it fails at every k,
-		// and the scan would end unfired.
-		if enteringMonotone(cfg, serv.slope(), neigh.slope()) && !entering(cfg, serv, neigh, horizon, forecastMarginDB) {
+		k := risingEdge(cfg, serv, neigh, r.predictionSteps+need, need)
+		if k == 0 {
 			r.edgeActive[i] = 0
 			continue
 		}
-		fired := false
-		held := 0
-		for k := 1; k <= horizon; k++ {
-			if !entering(cfg, serv, neigh, k, forecastMarginDB) {
-				held = 0
-				continue
-			}
-			held++
-			if held >= need {
-				fired = true
-				r.edgeActive[i]++
-				// Debounce flickering edges; silence edges that have failed
-				// to materialise within twice the horizon.
-				if r.edgeActive[i] >= edgeDebounceTicks && r.edgeActive[i] <= 2*r.predictionSteps {
-					out = append(out, PredictedReport{Event: cfg.Type, Tech: cfg.Tech, LeadSteps: k})
-				}
-				break
-			}
-		}
-		if !fired {
-			r.edgeActive[i] = 0
+		r.edgeActive[i]++
+		// Debounce flickering edges; silence edges that have failed to
+		// materialise within twice the horizon.
+		if r.edgeActive[i] >= edgeDebounceTicks && r.edgeActive[i] <= 2*r.predictionSteps {
+			out = append(out, PredictedReport{Event: cfg.Type, Tech: cfg.Tech, LeadSteps: k})
 		}
 	}
 	// Order by when the trigger completes.

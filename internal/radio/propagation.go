@@ -1,8 +1,6 @@
 // Package radio implements the physical-layer substrate: a
 // frequency-dependent log-distance propagation model with spatially
-// correlated shadowing and small-scale fading, SINR computation, the
-// triangular-kernel signal smoother of Long & Sikdar that Prognos uses to
-// suppress fast fading, and a linear-regression RRS forecaster.
+// correlated shadowing and small-scale fading, and SINR computation.
 //
 // The propagation model is the root cause of the paper's band findings:
 // higher carrier frequencies attenuate faster, shrinking mmWave cells to a

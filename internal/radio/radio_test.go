@@ -117,131 +117,6 @@ func TestRSRQBounds(t *testing.T) {
 	}
 }
 
-func TestTriangularSmootherConstantSignal(t *testing.T) {
-	s, err := NewTriangularSmoother(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if got := s.Push(-90); math.Abs(got+90) > 1e-9 {
-			t.Fatalf("constant signal smoothed to %v", got)
-		}
-	}
-}
-
-func TestTriangularSmootherWeightsRecent(t *testing.T) {
-	s, _ := NewTriangularSmoother(4)
-	for _, v := range []float64{0, 0, 0, 10} {
-		s.Push(v)
-	}
-	// Weighted mean with weights 1,2,3,4 → 40/10 = 4, above the plain mean
-	// of 2.5: recent samples dominate.
-	if got := s.Value(); math.Abs(got-4) > 1e-9 {
-		t.Errorf("Value = %v, want 4", got)
-	}
-}
-
-func TestTriangularSmootherBounds(t *testing.T) {
-	// Smoothed output must stay within the min/max of the window.
-	rng := rand.New(rand.NewSource(2))
-	s, _ := NewTriangularSmoother(8)
-	var win []float64
-	for i := 0; i < 200; i++ {
-		v := rng.NormFloat64() * 10
-		win = append(win, v)
-		if len(win) > 8 {
-			win = win[1:]
-		}
-		got := s.Push(v)
-		lo, hi := win[0], win[0]
-		for _, w := range win {
-			if w < lo {
-				lo = w
-			}
-			if w > hi {
-				hi = w
-			}
-		}
-		if got < lo-1e-9 || got > hi+1e-9 {
-			t.Fatalf("smoothed %v outside window [%v, %v]", got, lo, hi)
-		}
-	}
-}
-
-func TestSmootherValidation(t *testing.T) {
-	if _, err := NewTriangularSmoother(0); err == nil {
-		t.Error("zero window accepted")
-	}
-	s, _ := NewTriangularSmoother(3)
-	if s.Value() != 0 {
-		t.Error("empty smoother value")
-	}
-	s.Push(5)
-	s.Reset()
-	if s.Value() != 0 {
-		t.Error("reset did not clear")
-	}
-	s.SetSamples([]float64{1, 2, 3, 4, 5})
-	if got := s.Samples(); len(got) != 3 || got[0] != 3 {
-		t.Errorf("a 3-sample window kept %v", got)
-	}
-}
-
-func TestLinearForecasterExactLine(t *testing.T) {
-	f, err := NewLinearForecaster(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		f.Push(float64(i) * 2)
-	}
-	// Perfect line: forecast k steps ahead continues it.
-	for k := 1; k <= 5; k++ {
-		want := float64(9+k) * 2
-		if got := f.Forecast(k); math.Abs(got-want) > 1e-9 {
-			t.Errorf("Forecast(%d) = %v, want %v", k, got, want)
-		}
-	}
-	if math.Abs(f.Slope()-2) > 1e-9 {
-		t.Errorf("Slope = %v", f.Slope())
-	}
-}
-
-func TestLinearForecasterEdgeCases(t *testing.T) {
-	if _, err := NewLinearForecaster(1); err == nil {
-		t.Error("window 1 accepted")
-	}
-	f, _ := NewLinearForecaster(5)
-	if f.Forecast(3) != 0 {
-		t.Error("empty forecaster should return 0")
-	}
-	f.Push(7)
-	if f.Forecast(3) != 7 {
-		t.Error("single-sample forecast should repeat the sample")
-	}
-	if f.Ready() {
-		t.Error("not ready with one sample")
-	}
-	f.Push(7)
-	if !f.Ready() {
-		t.Error("ready with two samples")
-	}
-	f.Reset()
-	if f.Ready() {
-		t.Error("reset did not clear")
-	}
-}
-
-func TestLinearForecasterConstant(t *testing.T) {
-	f, _ := NewLinearForecaster(8)
-	for i := 0; i < 20; i++ {
-		f.Push(-95)
-	}
-	if got := f.Forecast(10); math.Abs(got+95) > 1e-9 {
-		t.Errorf("constant forecast = %v", got)
-	}
-}
-
 func TestFreeSpaceRefLoss(t *testing.T) {
 	// Doubling frequency adds ~6 dB at the reference distance.
 	d := FreeSpaceRefLossDB(2e9) - FreeSpaceRefLossDB(1e9)

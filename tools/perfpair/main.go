@@ -2,8 +2,9 @@
 // benchmark (perfbench/run.sh) in two checkouts, BASE and HEAD, in
 // alternating pairs on every workload BENCHMARK.json lists, prints each
 // pair's end-to-end metrics side by side, and fails when serve-path
-// throughput or simulator speed at HEAD drops more than 15% below BASE, or
-// when serve-path p99 latency at HEAD grows past 1.5 times BASE's.
+// throughput, simulator speed or offline replay speed at HEAD drops more
+// than 15% below BASE, or when serve-path p99 latency at HEAD grows past
+// 1.5 times BASE's.
 //
 // Usage:
 //
@@ -24,7 +25,8 @@
 // It exits non-zero when a run exits non-zero, reports correct:false or
 // reports failed>0; when a median head/base is below 0.85 on a throughput
 // gate: predictions_per_s on serve_closed or cluster_repl, or sim_km_per_s
-// on offline_repro; and when a median head/base is above 1.5 on a tail
+// or replay_samples_per_s on offline_repro; and when a median head/base is
+// above 1.5 on a tail
 // gate: latency_p99_ms on serve_closed or cluster_repl. A median that is
 // not a number fails either kind. Nothing else gates.
 package main
@@ -59,11 +61,15 @@ type gate struct{ workload, metric string }
 func (g gate) String() string { return g.workload + " " + g.metric }
 
 // gates are the pairs held to gateRatio: serve-path throughput, and the
-// simulator's speed on the paper-reproduction path.
+// simulator's and Prognos's replay speed on the paper-reproduction path.
+// Replay speed gates only there: on the serve workloads the reference
+// replay advances by the samples served, so it moves with server
+// throughput.
 var gates = []gate{
 	{"serve_closed", "predictions_per_s"},
 	{"cluster_repl", "predictions_per_s"},
 	{"offline_repro", "sim_km_per_s"},
+	{"offline_repro", "replay_samples_per_s"},
 }
 
 // tailGates are the pairs held to tailRatio: serve-path p99 latency. A

@@ -17,6 +17,7 @@ const fakeBenchmark = `{
   "end_to_end": [
     {"name": "predictions_per_s", "better": "higher"},
     {"name": "sim_km_per_s", "better": "higher"},
+    {"name": "replay_samples_per_s", "better": "higher"},
     {"name": "latency_p99_ms", "better": "lower"}
   ]
 }`
@@ -33,13 +34,13 @@ exit "$(cat "canned/$2-$4.code")"
 
 // fakeRun is one canned perfbench run.
 type fakeRun struct {
-	pps, kmps, p99 float64
-	correct        bool
-	failed         int
-	code           int
+	pps, kmps, replay, p99 float64
+	correct                bool
+	failed                 int
+	code                   int
 }
 
-func ok(pps float64) fakeRun { return fakeRun{pps: pps, kmps: 300, p99: 1, correct: true} }
+func ok(pps float64) fakeRun { return fakeRun{pps: pps, kmps: 300, replay: 1e6, p99: 1, correct: true} }
 
 // checkout writes a fake checkout root named name under dir. canned gives
 // the run for each workload and seed.
@@ -60,8 +61,8 @@ func checkout(t *testing.T, dir, name string, canned func(workload string, seed 
 			r := canned(w, seed)
 			key := fmt.Sprintf("canned/%s-%d", w, seed)
 			files[key+".json"] = fmt.Sprintf(
-				`{"correct": %v, "attempted": 100, "failed": %d, "metrics": {"predictions_per_s": {"value": %g, "unit": "1/s"}, "sim_km_per_s": {"value": %g, "unit": "km/s"}, "latency_p99_ms": {"value": %g, "unit": "ms"}}}`+"\n",
-				r.correct, r.failed, r.pps, r.kmps, r.p99)
+				`{"correct": %v, "attempted": 100, "failed": %d, "metrics": {"predictions_per_s": {"value": %g, "unit": "1/s"}, "sim_km_per_s": {"value": %g, "unit": "km/s"}, "replay_samples_per_s": {"value": %g, "unit": "1/s"}, "latency_p99_ms": {"value": %g, "unit": "ms"}}}`+"\n",
+				r.correct, r.failed, r.pps, r.kmps, r.replay, r.p99)
 			files[key+".code"] = fmt.Sprint(r.code)
 		}
 	}
@@ -86,14 +87,15 @@ func pair(t *testing.T, canned func(workload string, seed int) fakeRun) (string,
 }
 
 // TestGateMedian checks the gate's rule on each gated pair:
-// predictions_per_s on serve_closed and cluster_repl, and sim_km_per_s on
-// offline_repro. A median head/base of 0.84 fails, 0.86 passes. Outliers
-// on either side of the median do not decide it.
+// predictions_per_s on serve_closed and cluster_repl, and sim_km_per_s and
+// replay_samples_per_s on offline_repro. A median head/base of 0.84 fails,
+// 0.86 passes. Outliers on either side of the median do not decide it.
 func TestGateMedian(t *testing.T) {
 	for _, g := range []gate{
 		{"serve_closed", "predictions_per_s"},
 		{"cluster_repl", "predictions_per_s"},
 		{"offline_repro", "sim_km_per_s"},
+		{"offline_repro", "replay_samples_per_s"},
 	} {
 		for _, tc := range []struct {
 			ratio    [seeds]float64
@@ -104,10 +106,15 @@ func TestGateMedian(t *testing.T) {
 		} {
 			out, err := pair(t, func(workload string, seed int) fakeRun {
 				r := ok(1000)
-				if workload == g.workload && g.metric == "sim_km_per_s" {
-					r.kmps *= tc.ratio[seed-1]
-				} else if workload == g.workload {
-					r.pps *= tc.ratio[seed-1]
+				if workload == g.workload {
+					switch g.metric {
+					case "sim_km_per_s":
+						r.kmps *= tc.ratio[seed-1]
+					case "replay_samples_per_s":
+						r.replay *= tc.ratio[seed-1]
+					default:
+						r.pps *= tc.ratio[seed-1]
+					}
 				}
 				return r
 			})
@@ -197,8 +204,9 @@ func TestGateRunFailures(t *testing.T) {
 }
 
 // TestUngatedMetricsNeverFail halves predictions/s and triples p99 on the
-// workload where they are ungated, and halves sim km/s on the workloads
-// where it is ungated: the gate still passes.
+// workload where they are ungated, and halves sim km/s and replay
+// samples/s on the workloads where they are ungated: the gate still
+// passes.
 func TestUngatedMetricsNeverFail(t *testing.T) {
 	out, err := pair(t, func(w string, _ int) fakeRun {
 		r := ok(1000)
@@ -207,6 +215,7 @@ func TestUngatedMetricsNeverFail(t *testing.T) {
 			r.p99 = 3
 		} else {
 			r.kmps = 150
+			r.replay = 5e5
 		}
 		return r
 	})
@@ -217,6 +226,7 @@ func TestUngatedMetricsNeverFail(t *testing.T) {
 		"summary offline_repro  predictions_per_s      median head/base 0.500, head won 0/5",
 		"summary offline_repro  latency_p99_ms         median head/base 3.000, head won 0/5",
 		"summary cluster_repl   sim_km_per_s           median head/base 0.500, head won 0/5",
+		"summary serve_closed   replay_samples_per_s   median head/base 0.500, head won 0/5",
 		"gate passed",
 	} {
 		if !strings.Contains(out, want) {
@@ -279,6 +289,7 @@ func TestBenchmarkMustNameTheGate(t *testing.T) {
 		{`, {"name": "offline_repro"}`, ``},
 		{`{"name": "predictions_per_s", "better": "higher"},`, ``},
 		{`{"name": "sim_km_per_s", "better": "higher"},`, ``},
+		{`{"name": "replay_samples_per_s", "better": "higher"},`, ``},
 		{`,
     {"name": "latency_p99_ms", "better": "lower"}`, ``},
 		{`"better": "lower"`, `"better": "less"`},

@@ -10,9 +10,6 @@ import (
 // with its reason. What they reach stays too.
 var keep = map[string]string{
 	"(*repro/internal/policygen.Scenario).Validate":       "the 3GPP-plausibility check (with Portfolio.Validate) that the policygen and ran tests run over generated portfolios",
-	"(*repro/internal/radio.LinearForecaster).Forecast":   "the report predictor's test oracle and FuzzReportPredictorMatchesReference compare against it",
-	"(*repro/internal/radio.LinearForecaster).Slope":      "the report predictor's test oracle compares against it",
-	"(*repro/internal/radio.LinearForecaster).Ready":      "the report predictor's test oracle compares against it",
 	"(*repro/internal/core.DecisionLearner).Match":        "public API: repro.Prognos.Learner() hands the learner to callers outside the module",
 	"(*repro/internal/server.protocolError).Unwrap":       "errors.Is and errors.As call it through an interface literal of the standard library",
 	"(*repro/internal/server.ResilientClient).SendSample": "the server tests drive sessions through it",
