@@ -54,7 +54,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -212,11 +211,7 @@ func main() {
 	}
 
 	if *reportPath != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*reportPath, append(b, '\n'), 0o644); err != nil {
+		if err := metrics.WriteJSON(*reportPath, rep); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("report written to %s\n", *reportPath)

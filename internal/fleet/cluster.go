@@ -97,7 +97,7 @@ type node struct {
 func (n *node) stats() metrics.ServerSnapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return aggregate(append([]metrics.ServerSnapshot{n.srv.Stats()}, n.retired...))
+	return metrics.Aggregate(append([]metrics.ServerSnapshot{n.srv.Stats()}, n.retired...))
 }
 
 // apply runs one schedule op on the node.
@@ -241,10 +241,9 @@ func (r *rig) settle(timeout time.Duration) error {
 func (r *rig) report() (snaps []metrics.ServerSnapshot, rows []NodeReport) {
 	for _, n := range r.nodes {
 		snap := n.stats()
-		row := snapshotReport(n.addr, snap)
-		row.Restarts, row.Kills = int(n.restarts.Load()), int(n.kills.Load())
 		snaps = append(snaps, snap)
-		rows = append(rows, row)
+		rows = append(rows, NodeReport{Addr: n.addr, Restarts: int(n.restarts.Load()),
+			Kills: int(n.kills.Load()), ServerSnapshot: snap})
 	}
 	return snaps, rows
 }
@@ -263,99 +262,15 @@ func (r *rig) ready() bool {
 	return false
 }
 
-// aggregate is the server-side snapshot of a set of members, or of one
-// node's generations: a lone snapshot passes through whole, latency
-// histogram included; several sum their counters. Gauges that only make
-// sense per instance keep the maximum (uptime) or sum of current values
-// (active, parked). Latency histograms do not sum (sparse buckets); the
-// fleet's own client-side histogram covers the distribution, so a sum
-// carries counters only.
-func aggregate(snaps []metrics.ServerSnapshot) metrics.ServerSnapshot {
-	if len(snaps) == 1 {
-		return snaps[0]
-	}
-	var a metrics.ServerSnapshot
-	for _, b := range snaps {
-		if b.UptimeMS > a.UptimeMS {
-			a.UptimeMS = b.UptimeMS
-		}
-		a.Sessions += b.Sessions
-		a.Active += b.Active
-		a.Samples += b.Samples
-		a.Reports += b.Reports
-		a.Handovers += b.Handovers
-		a.Predictions += b.Predictions
-		a.Rejected += b.Rejected
-		a.SessionErrors += b.SessionErrors
-		a.Oversized += b.Oversized
-		a.Interrupted += b.Interrupted
-		a.Resumed += b.Resumed
-		a.Parked += b.Parked
-		a.ParkedExpired += b.ParkedExpired
-		a.CheckpointSaves += b.CheckpointSaves
-		a.CheckpointRestores += b.CheckpointRestores
-		a.CheckpointBytes += b.CheckpointBytes
-		a.Redirected += b.Redirected
-		a.MigratedOut += b.MigratedOut
-		a.MigratedIn += b.MigratedIn
-		a.MigratedResumes += b.MigratedResumes
-		a.MigrationBytesOut += b.MigrationBytesOut
-		a.MigrationBytesIn += b.MigrationBytesIn
-		a.MigrationPasses += b.MigrationPasses
-		if b.MigrationLastUS > a.MigrationLastUS {
-			a.MigrationLastUS = b.MigrationLastUS
-		}
-		a.ReplicationPushes += b.ReplicationPushes
-		a.ReplicationBytesOut += b.ReplicationBytesOut
-		a.ReplicationBytesIn += b.ReplicationBytesIn
-		// Lag is a per-instance freshness gauge; the aggregate reports the
-		// worst (largest) member, the one bounding the cluster's staleness.
-		if b.ReplicationLagUS > a.ReplicationLagUS {
-			a.ReplicationLagUS = b.ReplicationLagUS
-		}
-		a.ReplicaSessions += b.ReplicaSessions
-		a.PeerSuspects += b.PeerSuspects
-		a.Failovers += b.Failovers
-	}
-	return a
-}
-
-// NodeReport is one cluster member's slice of a fleet report.
+// NodeReport is one cluster member's slice of a fleet report: its fault
+// counts and its whole server snapshot, flattened into the row. The
+// counters span every server generation of the node (a start retires the
+// stopped one), so a restarted node keeps its history.
 type NodeReport struct {
 	Addr     string `json:"addr"`
 	Restarts int    `json:"restarts,omitempty"`
 	// Kills counts hard crashes the run inflicted on this node (no drain;
 	// the node's live state died with it and failover took over).
 	Kills int `json:"kills,omitempty"`
-	// Counters span every server generation of the node (a start retires
-	// the stopped one), so a restarted node keeps its history.
-	Sessions        int64 `json:"sessions"`
-	Samples         int64 `json:"samples"`
-	Predictions     int64 `json:"predictions"`
-	Resumed         int64 `json:"resumed_sessions,omitempty"`
-	Redirected      int64 `json:"redirected_sessions,omitempty"`
-	MigratedOut     int64 `json:"migrated_out_sessions,omitempty"`
-	MigratedIn      int64 `json:"migrated_in_sessions,omitempty"`
-	MigratedResumes int64 `json:"migrated_resumes,omitempty"`
-	SessionErrors   int64 `json:"session_errors,omitempty"`
-	// Failovers counts sessions this node promoted from replicated state.
-	Failovers int64 `json:"failovers,omitempty"`
-}
-
-// snapshotReport flattens one member's snapshot (rig-held or fetched from
-// an external node's stats endpoint) into its report row.
-func snapshotReport(addr string, s metrics.ServerSnapshot) NodeReport {
-	return NodeReport{
-		Addr:            addr,
-		Sessions:        s.Sessions,
-		Samples:         s.Samples,
-		Predictions:     s.Predictions,
-		Resumed:         s.Resumed,
-		Redirected:      s.Redirected,
-		MigratedOut:     s.MigratedOut,
-		MigratedIn:      s.MigratedIn,
-		MigratedResumes: s.MigratedResumes,
-		SessionErrors:   s.SessionErrors,
-		Failovers:       s.Failovers,
-	}
+	metrics.ServerSnapshot
 }

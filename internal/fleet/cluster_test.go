@@ -338,6 +338,87 @@ func TestNodeStartKeepsCounters(t *testing.T) {
 	}
 }
 
+// TestNodeStatsAggregateRules pins how a node's generations combine: a
+// lone snapshot passes through whole, latency histogram included; several
+// sum their counters, except uptime, migration_last_us and
+// replication_lag_us, which keep the largest member's value, and drop the
+// histogram. The rig's members combine by the same rule.
+func TestNodeStatsAggregateRules(t *testing.T) {
+	rig, err := newRig(1, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.close()
+	n := rig.nodes[0]
+
+	c, err := server.Dial(n.addr, wire.Hello{Carrier: "OpX", Arch: cellular.ArchNSA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp := trace.Sample{Arch: cellular.ArchNSA, ServingLTE: trace.CellObs{PCI: 1, Valid: true, RSRP: -85}}
+	if _, err := c.SendSample(smp); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := rig.settle(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	lone, live := n.stats(), n.srv.Stats()
+	if lone.Latency.Count != 1 || !reflect.DeepEqual(lone.Latency, live.Latency) {
+		t.Errorf("a lone snapshot must keep its histogram: got %+v, server has %+v", lone.Latency, live.Latency)
+	}
+	lone.UptimeMS, live.UptimeMS = 0, 0
+	if !reflect.DeepEqual(lone, live) {
+		t.Errorf("a lone snapshot must pass through whole:\ngot  %+v\nwant %+v", lone, live)
+	}
+
+	// An idle live generation adds zeros, so the two retired ones decide
+	// every field.
+	idle, err := newRig(1, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.close()
+	m := idle.nodes[0]
+	m.retired = []metrics.ServerSnapshot{{
+		UptimeMS: 50_000, Sessions: 1, Active: 2, Samples: 3, Reports: 4,
+		Handovers: 5, Predictions: 6, Rejected: 7, SessionErrors: 8,
+		Oversized: 9, Interrupted: 10, Resumed: 11, Parked: 12,
+		ParkedExpired: 13, CheckpointSaves: 14, CheckpointRestores: 15,
+		CheckpointBytes: 16, Redirected: 17, MigratedOut: 18, MigratedIn: 19,
+		MigratedResumes: 20, MigrationBytesOut: 21, MigrationBytesIn: 22,
+		MigrationPasses: 23, MigrationLastUS: 2_400, ReplicationPushes: 25,
+		ReplicationBytesOut: 26, ReplicationBytesIn: 27, ReplicationLagUS: 28,
+		ReplicaSessions: 29, PeerSuspects: 30, Failovers: 31,
+		Latency: metrics.LatencySnapshot{Count: 9, SumUS: 90},
+	}, {
+		UptimeMS: 90_000, Sessions: 100, Active: 200, Samples: 300, Reports: 400,
+		Handovers: 500, Predictions: 600, Rejected: 700, SessionErrors: 800,
+		Oversized: 900, Interrupted: 1000, Resumed: 1100, Parked: 1200,
+		ParkedExpired: 1300, CheckpointSaves: 1400, CheckpointRestores: 1500,
+		CheckpointBytes: 1600, Redirected: 1700, MigratedOut: 1800, MigratedIn: 1900,
+		MigratedResumes: 2000, MigrationBytesOut: 2100, MigrationBytesIn: 2200,
+		MigrationPasses: 2300, MigrationLastUS: 24, ReplicationPushes: 2500,
+		ReplicationBytesOut: 2600, ReplicationBytesIn: 2700, ReplicationLagUS: 2800,
+		ReplicaSessions: 2900, PeerSuspects: 3000, Failovers: 3100,
+		Latency: metrics.LatencySnapshot{Count: 1, SumUS: 10},
+	}}
+	want := metrics.ServerSnapshot{
+		UptimeMS: 90_000, Sessions: 101, Active: 202, Samples: 303, Reports: 404,
+		Handovers: 505, Predictions: 606, Rejected: 707, SessionErrors: 808,
+		Oversized: 909, Interrupted: 1010, Resumed: 1111, Parked: 1212,
+		ParkedExpired: 1313, CheckpointSaves: 1414, CheckpointRestores: 1515,
+		CheckpointBytes: 1616, Redirected: 1717, MigratedOut: 1818, MigratedIn: 1919,
+		MigratedResumes: 2020, MigrationBytesOut: 2121, MigrationBytesIn: 2222,
+		MigrationPasses: 2323, MigrationLastUS: 2_400, ReplicationPushes: 2525,
+		ReplicationBytesOut: 2626, ReplicationBytesIn: 2727, ReplicationLagUS: 2800,
+		ReplicaSessions: 2929, PeerSuspects: 3030, Failovers: 3131,
+	}
+	if got := m.stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("aggregate of several generations:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
 // TestRigReadableMidFault reads the rig the way the ops plane does while
 // the test goroutine plays both schedules' ops against its nodes; under
 // -race this pins that reads of a node's server go through the node
@@ -360,7 +441,7 @@ func TestRigReadableMidFault(t *testing.T) {
 			default:
 			}
 			snaps, _ := rig.report()
-			aggregate(snaps)
+			metrics.Aggregate(snaps)
 			rig.ready()
 		}
 	}()

@@ -395,7 +395,7 @@ func Run(cfg Config) (*Report, error) {
 		reg := obs.NewRegistry()
 		obs.RegisterServerMetrics(reg, func() metrics.ServerSnapshot {
 			snaps, _ := local.report()
-			return aggregate(snaps)
+			return metrics.Aggregate(snaps)
 		})
 		plane, err := obs.Listen(cfg.OpsAddr, obs.Config{
 			Registry: reg,
@@ -583,11 +583,11 @@ func Run(cfg Config) (*Report, error) {
 		for _, a := range members {
 			if snap, err := server.FetchStats(a); err == nil {
 				snaps = append(snaps, snap)
-				rows = append(rows, snapshotReport(a, snap))
+				rows = append(rows, NodeReport{Addr: a, ServerSnapshot: snap})
 			}
 		}
 	}
-	agg := aggregate(snaps)
+	agg := metrics.Aggregate(snaps)
 	if len(snaps) > 0 {
 		rep.Server = &agg
 	}

@@ -94,47 +94,149 @@ func (p *Probe) Drives() int64 { return p.drives.Load() }
 // HOEvents returns the number of handover events observed so far.
 func (p *Probe) HOEvents() int64 { return p.hoEvents.Load() }
 
-// ServerStats aggregates the liveness counters of a Prognos service:
-// sessions served, observations streamed, predictions returned. All
-// methods are safe for concurrent sessions.
+// Counter names one stored server counter: an index into ServerStats and
+// into Counters. The constants follow ServerSnapshot's int64 fields in
+// order, less ReplicationLagUS, which a clock derives at snapshot time.
+type Counter int
+
+// The stored server counters.
+const (
+	Sessions Counter = iota
+	Active
+	Samples
+	Reports
+	Handovers
+	Predictions
+	Rejected
+	SessionErrors
+	Oversized
+	Interrupted
+	Resumed
+	Parked
+	ParkedExpired
+	CheckpointSaves
+	CheckpointRestores
+	CheckpointBytes
+	Redirected
+	MigratedOut
+	MigratedIn
+	MigratedResumes
+	MigrationBytesOut
+	MigrationBytesIn
+	MigrationPasses
+	MigrationLastUS
+	ReplicationPushes
+	ReplicationBytesOut
+	ReplicationBytesIn
+	ReplicaSessions
+	PeerSuspects
+	Failovers
+	numCounters
+)
+
+// CounterSpec declares one stored server counter: the ServerSnapshot
+// field it lands in, the series the ops plane exposes it as, and how a
+// cluster aggregate combines it.
+type CounterSpec struct {
+	// Field selects the counter's ServerSnapshot field.
+	Field func(*ServerSnapshot) *int64
+	// Name and Help are the Prometheus series name and HELP text.
+	Name, Help string
+	// Gauge marks a value that can go down; the rest are counters.
+	Gauge bool
+	// Max makes an aggregate keep the largest member's value instead of
+	// the sum.
+	Max bool
+	// Div, when set, divides the stored value into the exposed unit (1e6
+	// for microseconds exposed as seconds).
+	Div float64
+}
+
+// counter and gauge build the rows of a plain counter and a plain gauge.
+func counter(field func(*ServerSnapshot) *int64, name, help string) CounterSpec {
+	return CounterSpec{Field: field, Name: name, Help: help}
+}
+
+func gauge(field func(*ServerSnapshot) *int64, name, help string) CounterSpec {
+	return CounterSpec{Field: field, Name: name, Help: help, Gauge: true}
+}
+
+// Counters is the one list of stored server counters, indexed by Counter.
+// ServerStats.Snapshot, Aggregate and the ops plane's exposition all loop
+// over it, so a new counter is a constant, a row here and a ServerSnapshot
+// field.
+var Counters = [numCounters]CounterSpec{
+	Sessions: counter(func(s *ServerSnapshot) *int64 { return &s.Sessions },
+		"prognos_sessions_total", "Prediction sessions accepted since start."),
+	Active: gauge(func(s *ServerSnapshot) *int64 { return &s.Active },
+		"prognos_active_sessions", "Prediction sessions currently open."),
+	Samples: counter(func(s *ServerSnapshot) *int64 { return &s.Samples },
+		"prognos_samples_total", "Radio samples streamed in by clients."),
+	Reports: counter(func(s *ServerSnapshot) *int64 { return &s.Reports },
+		"prognos_reports_total", "Sniffed measurement reports streamed in."),
+	Handovers: counter(func(s *ServerSnapshot) *int64 { return &s.Handovers },
+		"prognos_handovers_total", "Sniffed handover commands streamed in."),
+	Predictions: counter(func(s *ServerSnapshot) *int64 { return &s.Predictions },
+		"prognos_predictions_total", "Prediction lines returned to clients."),
+	Rejected: counter(func(s *ServerSnapshot) *int64 { return &s.Rejected },
+		"prognos_rejected_sessions_total", "Sessions turned away at the MaxSessions limit."),
+	SessionErrors: counter(func(s *ServerSnapshot) *int64 { return &s.SessionErrors },
+		"prognos_session_errors_total", "Sessions that ended with a protocol or engine error."),
+	Oversized: counter(func(s *ServerSnapshot) *int64 { return &s.Oversized },
+		"prognos_oversized_records_total", "Input records dropped for exceeding the line limit."),
+	Interrupted: counter(func(s *ServerSnapshot) *int64 { return &s.Interrupted },
+		"prognos_interrupted_sessions_total", "Resumable sessions cut by a transport fault and parked."),
+	Resumed: counter(func(s *ServerSnapshot) *int64 { return &s.Resumed },
+		"prognos_resumed_sessions_total", "Reconnects that re-attached a parked warm instance."),
+	Parked: gauge(func(s *ServerSnapshot) *int64 { return &s.Parked },
+		"prognos_parked_sessions", "Warm instances currently parked awaiting resume."),
+	ParkedExpired: counter(func(s *ServerSnapshot) *int64 { return &s.ParkedExpired },
+		"prognos_expired_parked_sessions_total", "Parked sessions dropped at the end of their grace window."),
+	CheckpointSaves: counter(func(s *ServerSnapshot) *int64 { return &s.CheckpointSaves },
+		"prognos_checkpoint_saves_total", "Checkpoint write passes completed."),
+	CheckpointRestores: counter(func(s *ServerSnapshot) *int64 { return &s.CheckpointRestores },
+		"prognos_checkpoint_restores_total", "Snapshots restored from checkpoint files at startup."),
+	CheckpointBytes: gauge(func(s *ServerSnapshot) *int64 { return &s.CheckpointBytes },
+		"prognos_checkpoint_bytes", "Bytes published by the most recent checkpoint pass."),
+	Redirected: counter(func(s *ServerSnapshot) *int64 { return &s.Redirected },
+		"prognos_redirected_sessions_total", "Sessions answered with a redirect to their cluster ring owner."),
+	MigratedOut: counter(func(s *ServerSnapshot) *int64 { return &s.MigratedOut },
+		"prognos_migrated_out_sessions_total", "Warm session states shipped to peer cluster nodes."),
+	MigratedIn: counter(func(s *ServerSnapshot) *int64 { return &s.MigratedIn },
+		"prognos_migrated_in_sessions_total", "Warm session states installed from peer cluster nodes."),
+	MigratedResumes: counter(func(s *ServerSnapshot) *int64 { return &s.MigratedResumes },
+		"prognos_migrated_resumes_total", "Resumes served from state that arrived by cluster migration."),
+	MigrationBytesOut: counter(func(s *ServerSnapshot) *int64 { return &s.MigrationBytesOut },
+		"prognos_migration_bytes_out_total", "Migration payload bytes shipped to peer nodes."),
+	MigrationBytesIn: counter(func(s *ServerSnapshot) *int64 { return &s.MigrationBytesIn },
+		"prognos_migration_bytes_in_total", "Migration payload bytes received from peer nodes."),
+	MigrationPasses: counter(func(s *ServerSnapshot) *int64 { return &s.MigrationPasses },
+		"prognos_migration_passes_total", "Outbound cluster drain/rebalance passes completed."),
+	MigrationLastUS: {Field: func(s *ServerSnapshot) *int64 { return &s.MigrationLastUS },
+		Name: "prognos_migration_last_seconds", Help: "Duration of the most recent outbound migration pass.",
+		Gauge: true, Max: true, Div: 1e6},
+	ReplicationPushes: counter(func(s *ServerSnapshot) *int64 { return &s.ReplicationPushes },
+		"prognos_replication_pushes_total", "Outbound async warm-state replication passes completed."),
+	ReplicationBytesOut: counter(func(s *ServerSnapshot) *int64 { return &s.ReplicationBytesOut },
+		"prognos_replication_bytes_total", "Replication payload bytes shipped to ring successors."),
+	ReplicationBytesIn: counter(func(s *ServerSnapshot) *int64 { return &s.ReplicationBytesIn },
+		"prognos_replication_bytes_in_total", "Replication payload bytes received from peer nodes."),
+	ReplicaSessions: gauge(func(s *ServerSnapshot) *int64 { return &s.ReplicaSessions },
+		"prognos_replica_sessions", "Peer session states held passively for crash failover."),
+	PeerSuspects: gauge(func(s *ServerSnapshot) *int64 { return &s.PeerSuspects },
+		"prognos_peer_suspect", "Ring peers the failure detector currently holds down."),
+	Failovers: counter(func(s *ServerSnapshot) *int64 { return &s.Failovers },
+		"prognos_failovers_total", "Sessions promoted from replicated state after a confirmed owner crash."),
+}
+
+// ServerStats holds the liveness counters of a Prognos service: one atomic
+// per Counter, the clocks behind uptime and replication lag, and the
+// serving-latency histogram. All methods are safe for concurrent sessions.
 type ServerStats struct {
-	start         time.Time
-	sessions      atomic.Int64
-	active        atomic.Int64
-	samples       atomic.Int64
-	reports       atomic.Int64
-	handovers     atomic.Int64
-	predictions   atomic.Int64
-	rejected      atomic.Int64
-	sessionErrors atomic.Int64
-	oversized     atomic.Int64
-
-	interrupted     atomic.Int64
-	resumed         atomic.Int64
-	parked          atomic.Int64
-	parkedExpired   atomic.Int64
-	checkpointSaves atomic.Int64
-	checkpointLoads atomic.Int64
-	checkpointBytes atomic.Int64
-
-	redirected        atomic.Int64
-	migratedOut       atomic.Int64
-	migratedIn        atomic.Int64
-	migratedResumes   atomic.Int64
-	migrationBytesOut atomic.Int64
-	migrationBytesIn  atomic.Int64
-	migrationPasses   atomic.Int64
-	migrationLastUS   atomic.Int64
-
-	replicationPushes    atomic.Int64
-	replicationBytesOut  atomic.Int64
-	replicationBytesIn   atomic.Int64
-	replicationLastPushU atomic.Int64 // unix µs of the last outbound push
-	replicaSessions      atomic.Int64
-	peerSuspects         atomic.Int64
-	failovers            atomic.Int64
-
-	latency Histogram
+	start    time.Time
+	counters [numCounters]atomic.Int64
+	lastPush atomic.Int64 // unix µs of the last outbound replication push
+	latency  Histogram
 }
 
 // NewServerStats returns a stats block with the uptime clock started.
@@ -142,161 +244,34 @@ func NewServerStats() *ServerStats {
 	return &ServerStats{start: time.Now()}
 }
 
-// SessionOpened records a new prediction session.
-func (s *ServerStats) SessionOpened() {
-	s.sessions.Add(1)
-	s.active.Add(1)
-}
+// Add moves counter c by n; a negative n lowers a gauge.
+func (s *ServerStats) Add(c Counter, n int64) { s.counters[c].Add(n) }
 
-// SessionClosed records the end of a prediction session.
-func (s *ServerStats) SessionClosed() { s.active.Add(-1) }
-
-// AddSample records one streamed radio sample.
-func (s *ServerStats) AddSample() { s.samples.Add(1) }
-
-// AddReport records one sniffed measurement report.
-func (s *ServerStats) AddReport() { s.reports.Add(1) }
-
-// AddHandover records one sniffed handover command.
-func (s *ServerStats) AddHandover() { s.handovers.Add(1) }
-
-// AddPrediction records one prediction returned to a client.
-func (s *ServerStats) AddPrediction() { s.predictions.Add(1) }
-
-// SessionRejected records a session turned away at the concurrency limit.
-func (s *ServerStats) SessionRejected() { s.rejected.Add(1) }
-
-// SessionError records a session that ended with an error (bad hello,
-// malformed record, deadline expiry, oversized input, ...).
-func (s *ServerStats) SessionError() { s.sessionErrors.Add(1) }
-
-// AddOversized records one input record that exceeded the line limit.
-func (s *ServerStats) AddOversized() { s.oversized.Add(1) }
-
-// SessionInterrupted records a resumable session cut by a transport fault
-// and parked for reconnection (not counted as a session error).
-func (s *ServerStats) SessionInterrupted() { s.interrupted.Add(1) }
-
-// SessionResumed records a reconnecting client re-attached to its parked
-// warm Prognos instance.
-func (s *ServerStats) SessionResumed() { s.resumed.Add(1) }
-
-// SessionParked / SessionUnparked move the parked-session gauge.
-func (s *ServerStats) SessionParked() int64   { return s.parked.Add(1) }
-func (s *ServerStats) SessionUnparked() int64 { return s.parked.Add(-1) }
-
-// ParkedExpired records a parked session dropped at the end of its resume
-// grace window (or evicted at the parked-table bound).
-func (s *ServerStats) ParkedExpired() { s.parkedExpired.Add(1) }
-
-// CheckpointSaved records one checkpoint write pass publishing n bytes of
-// snapshot state; the byte gauge tracks the latest pass's total size.
-func (s *ServerStats) CheckpointSaved(n int64) {
-	s.checkpointSaves.Add(1)
-	s.checkpointBytes.Store(n)
-}
-
-// CheckpointRestored records one (carrier, arch) snapshot restored from
-// disk at startup.
-func (s *ServerStats) CheckpointRestored() { s.checkpointLoads.Add(1) }
-
-// SessionRedirected records a session turned away with a redirect to the
-// cluster node that owns its token (not a session error: the client
-// re-dials and is served there).
-func (s *ServerStats) SessionRedirected() { s.redirected.Add(1) }
-
-// SessionMigratedOut records one warm session state shipped to another
-// node; SessionMigratedIn one installed from another node.
-func (s *ServerStats) SessionMigratedOut() { s.migratedOut.Add(1) }
-func (s *ServerStats) SessionMigratedIn()  { s.migratedIn.Add(1) }
-
-// MigratedResume records a resumed session whose warm state arrived by
-// migration rather than being parked locally — the warm-handoff success
-// signal of a drain.
-func (s *ServerStats) MigratedResume() { s.migratedResumes.Add(1) }
-
-// MigrationShipped records the payload bytes of one outbound migration
-// pass and its duration; MigrationReceived the inbound payload bytes.
-func (s *ServerStats) MigrationShipped(bytes int64, d time.Duration) {
-	s.migrationPasses.Add(1)
-	s.migrationBytesOut.Add(bytes)
-	s.migrationLastUS.Store(d.Microseconds())
-}
-func (s *ServerStats) MigrationReceived(bytes int64) { s.migrationBytesIn.Add(bytes) }
+// Set stores v as counter c: for the gauges that hold the latest pass's
+// figure, CheckpointBytes and MigrationLastUS.
+func (s *ServerStats) Set(c Counter, v int64) { s.counters[c].Store(v) }
 
 // ReplicationPushed records one outbound async replication pass shipping
 // n payload bytes to ring successors; the push timestamp feeds the
-// replication-lag gauge. ReplicationReceived records inbound replica
-// payload bytes installed from a peer.
-func (s *ServerStats) ReplicationPushed(bytes int64) {
-	s.replicationPushes.Add(1)
-	s.replicationBytesOut.Add(bytes)
-	s.replicationLastPushU.Store(time.Now().UnixMicro())
+// replication-lag gauge.
+func (s *ServerStats) ReplicationPushed(n int64) {
+	s.Add(ReplicationPushes, 1)
+	s.Add(ReplicationBytesOut, n)
+	s.lastPush.Store(time.Now().UnixMicro())
 }
-func (s *ServerStats) ReplicationReceived(bytes int64) { s.replicationBytesIn.Add(bytes) }
 
-// ReplicaStored / ReplicaDropped move the replica-session gauge: the
-// number of peer session states held passively for crash failover. The
-// gauge is deliberately separate from the parked-session gauge so a token
-// that exists both locally and as a replica is never double-counted in
-// prognos_parked_sessions.
-func (s *ServerStats) ReplicaStored() int64  { return s.replicaSessions.Add(1) }
-func (s *ServerStats) ReplicaDropped() int64 { return s.replicaSessions.Add(-1) }
-
-// PeerSuspected / PeerRecovered move the suspect-peer gauge maintained by
-// the failure detector.
-func (s *ServerStats) PeerSuspected() int64 { return s.peerSuspects.Add(1) }
-func (s *ServerStats) PeerRecovered() int64 { return s.peerSuspects.Add(-1) }
-
-// Failover records one session promoted from replicated state after its
-// ring owner was confirmed down.
-func (s *ServerStats) Failover() { s.failovers.Add(1) }
-
-// ObserveLatency records one request's server-side serving latency (for
-// the prediction path: sample decode through response flush).
+// ObserveLatency records one request's server-side serving latency.
 func (s *ServerStats) ObserveLatency(d time.Duration) { s.latency.Observe(d) }
 
 // Snapshot returns a consistent-enough copy of the counters for export.
 func (s *ServerStats) Snapshot() ServerSnapshot {
-	return ServerSnapshot{
-		UptimeMS:      float64(time.Since(s.start)) / float64(time.Millisecond),
-		Sessions:      s.sessions.Load(),
-		Active:        s.active.Load(),
-		Samples:       s.samples.Load(),
-		Reports:       s.reports.Load(),
-		Handovers:     s.handovers.Load(),
-		Predictions:   s.predictions.Load(),
-		Rejected:      s.rejected.Load(),
-		SessionErrors: s.sessionErrors.Load(),
-		Oversized:     s.oversized.Load(),
-
-		Interrupted:        s.interrupted.Load(),
-		Resumed:            s.resumed.Load(),
-		Parked:             s.parked.Load(),
-		ParkedExpired:      s.parkedExpired.Load(),
-		CheckpointSaves:    s.checkpointSaves.Load(),
-		CheckpointRestores: s.checkpointLoads.Load(),
-		CheckpointBytes:    s.checkpointBytes.Load(),
-
-		Redirected:        s.redirected.Load(),
-		MigratedOut:       s.migratedOut.Load(),
-		MigratedIn:        s.migratedIn.Load(),
-		MigratedResumes:   s.migratedResumes.Load(),
-		MigrationBytesOut: s.migrationBytesOut.Load(),
-		MigrationBytesIn:  s.migrationBytesIn.Load(),
-		MigrationPasses:   s.migrationPasses.Load(),
-		MigrationLastUS:   s.migrationLastUS.Load(),
-
-		ReplicationPushes:   s.replicationPushes.Load(),
-		ReplicationBytesOut: s.replicationBytesOut.Load(),
-		ReplicationBytesIn:  s.replicationBytesIn.Load(),
-		ReplicationLagUS:    s.replicationLag(),
-		ReplicaSessions:     s.replicaSessions.Load(),
-		PeerSuspects:        s.peerSuspects.Load(),
-		Failovers:           s.failovers.Load(),
-
-		Latency: s.latency.Snapshot(),
+	snap := ServerSnapshot{UptimeMS: float64(time.Since(s.start)) / float64(time.Millisecond)}
+	for c := range s.counters {
+		*Counters[c].Field(&snap) = s.counters[c].Load()
 	}
+	snap.ReplicationLagUS = s.replicationLag()
+	snap.Latency = s.latency.Snapshot()
+	return snap
 }
 
 // replicationLag is the age of the last outbound replication push in
@@ -304,7 +279,7 @@ func (s *ServerStats) Snapshot() ServerSnapshot {
 // at most the samples accumulated over this window. Zero until the first
 // push (replication off, or not yet started).
 func (s *ServerStats) replicationLag() int64 {
-	last := s.replicationLastPushU.Load()
+	last := s.lastPush.Load()
 	if last <= 0 {
 		return 0
 	}
@@ -315,47 +290,30 @@ func (s *ServerStats) replicationLag() int64 {
 }
 
 // ServerSnapshot is the JSON shape of a ServerStats export: what prognosd
-// returns for a {"stats":true} hello and prints at shutdown.
+// returns for a {"stats":true} hello and prints at shutdown. Every int64
+// field but ReplicationLagUS is one stored Counter, described by the HELP
+// text of its row in Counters.
 type ServerSnapshot struct {
 	// UptimeMS is the service uptime in milliseconds.
-	UptimeMS float64 `json:"uptime_ms"`
-	// Sessions counts sessions accepted since start; Active counts the
-	// sessions currently open.
-	Sessions int64 `json:"sessions"`
-	Active   int64 `json:"active_sessions"`
-	// Samples, Reports and Handovers count the streamed observations by
-	// record kind; Predictions counts prediction lines returned.
-	Samples     int64 `json:"samples"`
-	Reports     int64 `json:"reports"`
-	Handovers   int64 `json:"handovers"`
-	Predictions int64 `json:"predictions"`
-	// Rejected counts sessions turned away at the MaxSessions limit,
-	// SessionErrors counts sessions that ended with an error, and
-	// Oversized counts input records dropped for exceeding the line limit.
-	Rejected      int64 `json:"rejected_sessions"`
-	SessionErrors int64 `json:"session_errors"`
-	Oversized     int64 `json:"oversized_records"`
-	// Interrupted counts resumable sessions cut by a transport fault and
-	// parked; Resumed counts reconnects that re-attached a warm instance.
-	// Parked is the current parked-session gauge and ParkedExpired counts
-	// parked sessions dropped at the end of their grace window.
-	Interrupted   int64 `json:"interrupted_sessions"`
-	Resumed       int64 `json:"resumed_sessions"`
-	Parked        int64 `json:"parked_sessions"`
-	ParkedExpired int64 `json:"expired_parked_sessions"`
-	// CheckpointSaves counts checkpoint write passes, CheckpointRestores
-	// the snapshots restored at startup, and CheckpointBytes the total
-	// size of the most recent write pass.
+	UptimeMS      float64 `json:"uptime_ms"`
+	Sessions      int64   `json:"sessions"`
+	Active        int64   `json:"active_sessions"`
+	Samples       int64   `json:"samples"`
+	Reports       int64   `json:"reports"`
+	Handovers     int64   `json:"handovers"`
+	Predictions   int64   `json:"predictions"`
+	Rejected      int64   `json:"rejected_sessions"`
+	SessionErrors int64   `json:"session_errors"`
+	Oversized     int64   `json:"oversized_records"`
+
+	Interrupted        int64 `json:"interrupted_sessions"`
+	Resumed            int64 `json:"resumed_sessions"`
+	Parked             int64 `json:"parked_sessions"`
+	ParkedExpired      int64 `json:"expired_parked_sessions"`
 	CheckpointSaves    int64 `json:"checkpoint_saves"`
 	CheckpointRestores int64 `json:"checkpoint_restores"`
 	CheckpointBytes    int64 `json:"checkpoint_bytes"`
-	// Cluster counters. Redirected counts sessions answered with a
-	// redirect to their ring owner; MigratedOut/In count warm session
-	// states shipped to / installed from peer nodes, MigratedResumes the
-	// resumes served from migrated (rather than locally parked) state.
-	// MigrationBytesOut/In total the migration payload bytes moved,
-	// MigrationPasses the outbound drain/rebalance passes, and
-	// MigrationLastUS the duration of the most recent pass.
+
 	Redirected        int64 `json:"redirected_sessions"`
 	MigratedOut       int64 `json:"migrated_out_sessions"`
 	MigratedIn        int64 `json:"migrated_in_sessions"`
@@ -364,24 +322,48 @@ type ServerSnapshot struct {
 	MigrationBytesIn  int64 `json:"migration_bytes_in"`
 	MigrationPasses   int64 `json:"migration_passes"`
 	MigrationLastUS   int64 `json:"migration_last_us"`
-	// Crash-fault tolerance counters. ReplicationPushes counts outbound
-	// async replication passes and ReplicationBytesOut/In the replica
-	// payload bytes moved; ReplicationLagUS is the age of the most recent
-	// outbound push (the bounded-staleness window — what a crash of this
-	// node can lose). ReplicaSessions gauges the peer session states held
-	// passively for failover (never folded into Parked), PeerSuspects the
-	// ring peers the failure detector currently believes down, and
-	// Failovers counts sessions promoted from replicated state after a
-	// confirmed owner crash.
+
 	ReplicationPushes   int64 `json:"replication_pushes"`
 	ReplicationBytesOut int64 `json:"replication_bytes_out"`
 	ReplicationBytesIn  int64 `json:"replication_bytes_in"`
-	ReplicationLagUS    int64 `json:"replication_lag_us"`
-	ReplicaSessions     int64 `json:"replica_sessions"`
-	PeerSuspects        int64 `json:"peer_suspects"`
-	Failovers           int64 `json:"failovers"`
+	// ReplicationLagUS is the age of the most recent outbound replication
+	// push: the bounded-staleness window a crash of this node can lose.
+	ReplicationLagUS int64 `json:"replication_lag_us"`
+	// ReplicaSessions is never folded into Parked, so a token held both
+	// locally and as a replica counts once in each.
+	ReplicaSessions int64 `json:"replica_sessions"`
+	PeerSuspects    int64 `json:"peer_suspects"`
+	Failovers       int64 `json:"failovers"`
 	// Latency is the server-side per-sample serving latency histogram
-	// (decode through response flush), the source of the ops plane's
+	// (OnSample through response flush), the source of the ops plane's
 	// prognos_request_latency_seconds series.
 	Latency LatencySnapshot `json:"latency"`
+}
+
+// Aggregate is the server-side snapshot of a set of cluster members, or
+// of one node's server generations. A lone snapshot passes through whole,
+// latency histogram included. Several sum their counters, except that
+// uptime, replication lag (the stalest member bounds the cluster's
+// staleness) and the counters marked Max keep the largest member's value;
+// live gauges such as active and parked sessions sum. The histograms do
+// not sum (sparse buckets), so the result has none.
+func Aggregate(snaps []ServerSnapshot) ServerSnapshot {
+	if len(snaps) == 1 {
+		return snaps[0]
+	}
+	var a ServerSnapshot
+	for i := range snaps {
+		b := &snaps[i]
+		a.UptimeMS = max(a.UptimeMS, b.UptimeMS)
+		a.ReplicationLagUS = max(a.ReplicationLagUS, b.ReplicationLagUS)
+		for _, spec := range Counters {
+			sum, v := spec.Field(&a), *spec.Field(b)
+			if spec.Max {
+				*sum = max(*sum, v)
+			} else {
+				*sum += v
+			}
+		}
+	}
+	return a
 }

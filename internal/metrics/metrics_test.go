@@ -65,14 +65,16 @@ func TestProbeConcurrent(t *testing.T) {
 
 func TestServerStats(t *testing.T) {
 	s := NewServerStats()
-	s.SessionOpened()
-	s.SessionOpened()
-	s.SessionClosed()
-	s.AddSample()
-	s.AddSample()
-	s.AddReport()
-	s.AddHandover()
-	s.AddPrediction()
+	s.Add(Sessions, 2)
+	s.Add(Active, 2)
+	s.Add(Active, -1)
+	s.Add(Samples, 1)
+	s.Add(Samples, 1)
+	s.Add(Reports, 1)
+	s.Add(Handovers, 1)
+	s.Add(Predictions, 1)
+	s.Set(CheckpointBytes, 4096)
+	s.Set(CheckpointBytes, 512)
 	snap := s.Snapshot()
 	if snap.Sessions != 2 || snap.Active != 1 {
 		t.Errorf("sessions = %d active = %d, want 2/1", snap.Sessions, snap.Active)
@@ -80,7 +82,46 @@ func TestServerStats(t *testing.T) {
 	if snap.Samples != 2 || snap.Reports != 1 || snap.Handovers != 1 || snap.Predictions != 1 {
 		t.Errorf("counter snapshot %+v", snap)
 	}
+	if snap.CheckpointBytes != 512 {
+		t.Errorf("checkpoint bytes = %d, want the latest Set, 512", snap.CheckpointBytes)
+	}
 	if snap.UptimeMS < 0 {
 		t.Errorf("uptime %v must be non-negative", snap.UptimeMS)
+	}
+}
+
+// TestCountersCoverSnapshot guards the one list: each Counter moves
+// exactly one int64 field of a snapshot, and together they move every
+// int64 field but ReplicationLagUS, each once. A ServerSnapshot field
+// added without a row, or a row pointing at a field another row already
+// takes, fails here.
+func TestCountersCoverSnapshot(t *testing.T) {
+	typ := reflect.TypeOf(ServerSnapshot{})
+	owner := map[string]Counter{}
+	for c := Counter(0); c < numCounters; c++ {
+		s := NewServerStats()
+		s.Add(c, 1)
+		v := reflect.ValueOf(s.Snapshot())
+		var moved []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if f.Type.Kind() == reflect.Int64 && f.Name != "ReplicationLagUS" && v.Field(i).Int() != 0 {
+				moved = append(moved, f.Name)
+			}
+		}
+		if len(moved) != 1 {
+			t.Errorf("Counter %d (%s) moved fields %v, want exactly one", c, Counters[c].Name, moved)
+			continue
+		}
+		if prev, taken := owner[moved[0]]; taken {
+			t.Errorf("Counters %d and %d both land in %s", prev, c, moved[0])
+		}
+		owner[moved[0]] = c
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if _, ok := owner[f.Name]; f.Type.Kind() == reflect.Int64 && f.Name != "ReplicationLagUS" && !ok {
+			t.Errorf("ServerSnapshot.%s has no Counter", f.Name)
+		}
 	}
 }

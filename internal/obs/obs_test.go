@@ -1,8 +1,12 @@
 package obs_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -210,6 +214,99 @@ func TestServerMetricsRoundTrip(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got[name], want)
 		}
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite the server exposition and stats JSON goldens")
+
+// cannedSnapshot is a server snapshot with a distinct value in every
+// field, so a swapped selector, name or divisor changes the goldens. Its
+// µs fields are chosen so dividing by 1e6 and multiplying by 1e-6 render
+// differently (5e-06 against 4.9999999999999996e-06).
+func cannedSnapshot() metrics.ServerSnapshot {
+	var h metrics.Histogram
+	h.Observe(3 * time.Microsecond)
+	h.Observe(40 * time.Microsecond)
+	h.Observe(40 * time.Microsecond)
+	h.Observe(2 * time.Millisecond)
+	return metrics.ServerSnapshot{
+		UptimeMS:            12_345.5,
+		Sessions:            101,
+		Active:              2,
+		Samples:             14_003,
+		Reports:             904,
+		Handovers:           405,
+		Predictions:         14_006,
+		Rejected:            7,
+		SessionErrors:       8,
+		Oversized:           9,
+		Interrupted:         10,
+		Resumed:             11,
+		Parked:              12,
+		ParkedExpired:       13,
+		CheckpointSaves:     14,
+		CheckpointRestores:  15,
+		CheckpointBytes:     2_016,
+		Redirected:          17,
+		MigratedOut:         18,
+		MigratedIn:          19,
+		MigratedResumes:     20,
+		MigrationBytesOut:   4_021,
+		MigrationBytesIn:    1_022,
+		MigrationPasses:     23,
+		MigrationLastUS:     5,
+		ReplicationPushes:   25,
+		ReplicationBytesOut: 8_026,
+		ReplicationBytesIn:  527,
+		ReplicationLagUS:    250_028,
+		ReplicaSessions:     29,
+		PeerSuspects:        30,
+		Failovers:           31,
+		Latency:             h.Snapshot(),
+	}
+}
+
+// checkGolden compares got with testdata/name, rewriting the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := "testdata/" + name
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s mismatch:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestServerExpositionGolden pins the whole prognosd metric family byte
+// for byte: every HELP and TYPE line, the series order and each value's
+// rendering, over the canned snapshot.
+func TestServerExpositionGolden(t *testing.T) {
+	snap := cannedSnapshot()
+	r := obs.NewRegistry()
+	obs.RegisterServerMetrics(r, func() metrics.ServerSnapshot { return snap })
+	var b strings.Builder
+	if err := r.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "server_metrics.prom", []byte(b.String()))
+}
+
+// TestStatsHelloJSONGolden pins the stats hello's answer for the canned
+// snapshot: the server writes it with a json.Encoder, so this is the byte
+// stream a {"stats":true} client reads.
+func TestStatsHelloJSONGolden(t *testing.T) {
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(cannedSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "stats_hello.json", b.Bytes())
 }
 
 // TestTracerRingOverwrite pins the ring semantics: past the capacity the

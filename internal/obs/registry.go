@@ -241,82 +241,31 @@ func escapeHelp(s string) string {
 }
 
 // RegisterServerMetrics registers the full prognosd metric family over a
-// server-stats snapshot function (typically (*server.Server).Stats). Every
-// scrape takes fresh snapshots, so the series always reflect the live
-// atomic counters.
+// server-stats snapshot function (typically (*server.Server).Stats): one
+// series per row of metrics.Counters, plus uptime, replication lag and the
+// latency histogram, which are not stored counters. Every scrape takes
+// fresh snapshots, so the series always reflect the live atomic counters.
 func RegisterServerMetrics(r *Registry, snap func() metrics.ServerSnapshot) {
-	counter := func(name, help string, sel func(metrics.ServerSnapshot) int64) {
-		r.Counter(name, help, func() float64 { return float64(sel(snap())) })
-	}
-	gauge := func(name, help string, sel func(metrics.ServerSnapshot) int64) {
-		r.Gauge(name, help, func() float64 { return float64(sel(snap())) })
-	}
-
 	r.Gauge("prognos_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return snap().UptimeMS / 1e3 })
-	counter("prognos_sessions_total", "Prediction sessions accepted since start.",
-		func(s metrics.ServerSnapshot) int64 { return s.Sessions })
-	gauge("prognos_active_sessions", "Prediction sessions currently open.",
-		func(s metrics.ServerSnapshot) int64 { return s.Active })
-	counter("prognos_samples_total", "Radio samples streamed in by clients.",
-		func(s metrics.ServerSnapshot) int64 { return s.Samples })
-	counter("prognos_reports_total", "Sniffed measurement reports streamed in.",
-		func(s metrics.ServerSnapshot) int64 { return s.Reports })
-	counter("prognos_handovers_total", "Sniffed handover commands streamed in.",
-		func(s metrics.ServerSnapshot) int64 { return s.Handovers })
-	counter("prognos_predictions_total", "Prediction lines returned to clients.",
-		func(s metrics.ServerSnapshot) int64 { return s.Predictions })
-	counter("prognos_rejected_sessions_total", "Sessions turned away at the MaxSessions limit.",
-		func(s metrics.ServerSnapshot) int64 { return s.Rejected })
-	counter("prognos_session_errors_total", "Sessions that ended with a protocol or engine error.",
-		func(s metrics.ServerSnapshot) int64 { return s.SessionErrors })
-	counter("prognos_oversized_records_total", "Input records dropped for exceeding the line limit.",
-		func(s metrics.ServerSnapshot) int64 { return s.Oversized })
-	counter("prognos_interrupted_sessions_total", "Resumable sessions cut by a transport fault and parked.",
-		func(s metrics.ServerSnapshot) int64 { return s.Interrupted })
-	counter("prognos_resumed_sessions_total", "Reconnects that re-attached a parked warm instance.",
-		func(s metrics.ServerSnapshot) int64 { return s.Resumed })
-	gauge("prognos_parked_sessions", "Warm instances currently parked awaiting resume.",
-		func(s metrics.ServerSnapshot) int64 { return s.Parked })
-	counter("prognos_expired_parked_sessions_total", "Parked sessions dropped at the end of their grace window.",
-		func(s metrics.ServerSnapshot) int64 { return s.ParkedExpired })
-	counter("prognos_checkpoint_saves_total", "Checkpoint write passes completed.",
-		func(s metrics.ServerSnapshot) int64 { return s.CheckpointSaves })
-	counter("prognos_checkpoint_restores_total", "Snapshots restored from checkpoint files at startup.",
-		func(s metrics.ServerSnapshot) int64 { return s.CheckpointRestores })
-	gauge("prognos_checkpoint_bytes", "Bytes published by the most recent checkpoint pass.",
-		func(s metrics.ServerSnapshot) int64 { return s.CheckpointBytes })
-	counter("prognos_redirected_sessions_total", "Sessions answered with a redirect to their cluster ring owner.",
-		func(s metrics.ServerSnapshot) int64 { return s.Redirected })
-	counter("prognos_migrated_out_sessions_total", "Warm session states shipped to peer cluster nodes.",
-		func(s metrics.ServerSnapshot) int64 { return s.MigratedOut })
-	counter("prognos_migrated_in_sessions_total", "Warm session states installed from peer cluster nodes.",
-		func(s metrics.ServerSnapshot) int64 { return s.MigratedIn })
-	counter("prognos_migrated_resumes_total", "Resumes served from state that arrived by cluster migration.",
-		func(s metrics.ServerSnapshot) int64 { return s.MigratedResumes })
-	counter("prognos_migration_bytes_out_total", "Migration payload bytes shipped to peer nodes.",
-		func(s metrics.ServerSnapshot) int64 { return s.MigrationBytesOut })
-	counter("prognos_migration_bytes_in_total", "Migration payload bytes received from peer nodes.",
-		func(s metrics.ServerSnapshot) int64 { return s.MigrationBytesIn })
-	counter("prognos_migration_passes_total", "Outbound cluster drain/rebalance passes completed.",
-		func(s metrics.ServerSnapshot) int64 { return s.MigrationPasses })
-	r.Gauge("prognos_migration_last_seconds", "Duration of the most recent outbound migration pass.",
-		func() float64 { return float64(snap().MigrationLastUS) / 1e6 })
-	counter("prognos_replication_pushes_total", "Outbound async warm-state replication passes completed.",
-		func(s metrics.ServerSnapshot) int64 { return s.ReplicationPushes })
-	counter("prognos_replication_bytes_total", "Replication payload bytes shipped to ring successors.",
-		func(s metrics.ServerSnapshot) int64 { return s.ReplicationBytesOut })
-	counter("prognos_replication_bytes_in_total", "Replication payload bytes received from peer nodes.",
-		func(s metrics.ServerSnapshot) int64 { return s.ReplicationBytesIn })
+	for _, spec := range metrics.Counters {
+		value := func() float64 {
+			s := snap()
+			v := float64(*spec.Field(&s))
+			if spec.Div != 0 {
+				v /= spec.Div
+			}
+			return v
+		}
+		if spec.Gauge {
+			r.Gauge(spec.Name, spec.Help, value)
+		} else {
+			r.Counter(spec.Name, spec.Help, value)
+		}
+	}
 	r.Gauge("prognos_replication_lag_seconds",
 		"Age of the most recent outbound replication push: the bounded-staleness window a crash of this node can lose.",
 		func() float64 { return float64(snap().ReplicationLagUS) / 1e6 })
-	gauge("prognos_replica_sessions", "Peer session states held passively for crash failover.",
-		func(s metrics.ServerSnapshot) int64 { return s.ReplicaSessions })
-	gauge("prognos_peer_suspect", "Ring peers the failure detector currently holds down.",
-		func(s metrics.ServerSnapshot) int64 { return s.PeerSuspects })
-	counter("prognos_failovers_total", "Sessions promoted from replicated state after a confirmed owner crash.",
-		func(s metrics.ServerSnapshot) int64 { return s.Failovers })
 	r.Histogram("prognos_request_latency_seconds",
 		"Server-side per-sample serving latency (OnSample through response flush).",
 		func() metrics.LatencySnapshot { return snap().Latency })

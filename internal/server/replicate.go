@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -83,11 +84,11 @@ func (s *Server) promoteReplica(token string) bool {
 	if !ok {
 		return false
 	}
-	s.stats.ReplicaDropped()
+	s.stats.Add(metrics.ReplicaSessions, -1)
 	if s.parkState(r.st, true) != nil {
 		return false
 	}
-	s.stats.Failover()
+	s.stats.Add(metrics.Failovers, 1)
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvFailover,
 		Session: token,
@@ -139,16 +140,15 @@ func (s *Server) startDetector() {
 		return
 	}
 	s.detector = cluster.NewDetector(cluster.DetectorConfig{
-		Peers:     peers,
-		Interval:  s.opts.HeartbeatInterval,
-		Threshold: suspectThreshold,
+		Peers:    peers,
+		Interval: s.opts.HeartbeatInterval,
 		OnChange: func(peer string, down bool) {
 			if down {
-				s.stats.PeerSuspected()
+				s.stats.Add(metrics.PeerSuspects, 1)
 				s.opts.Tracer.Emit(obs.Event{Kind: obs.EvPeerDown, Detail: peer})
 				return
 			}
-			s.stats.PeerRecovered()
+			s.stats.Add(metrics.PeerSuspects, -1)
 			s.opts.Tracer.Emit(obs.Event{Kind: obs.EvPeerUp, Detail: peer})
 		},
 	})

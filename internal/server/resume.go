@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cellular"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -154,10 +155,10 @@ func (s *Server) park(p *parkedSession) {
 		return
 	}
 	if evicted {
-		s.stats.SessionUnparked()
-		s.stats.ParkedExpired()
+		s.stats.Add(metrics.Parked, -1)
+		s.stats.Add(metrics.ParkedExpired, 1)
 	}
-	s.stats.SessionParked()
+	s.stats.Add(metrics.Parked, 1)
 }
 
 // unpark removes and returns the parked session for token, or nil when no
@@ -168,9 +169,9 @@ func (s *Server) unpark(token string) *parkedSession {
 	if !ok {
 		return nil
 	}
-	s.stats.SessionUnparked()
+	s.stats.Add(metrics.Parked, -1)
 	if time.Now().After(expires) {
-		s.stats.ParkedExpired()
+		s.stats.Add(metrics.ParkedExpired, 1)
 		return nil
 	}
 	return p
@@ -181,8 +182,8 @@ func (s *Server) unpark(token string) *parkedSession {
 // here would roll back any fresher push made since.
 func (s *Server) sweepParked(now time.Time) {
 	for n := s.parked.sweep(now); n > 0; n-- {
-		s.stats.SessionUnparked()
-		s.stats.ParkedExpired()
+		s.stats.Add(metrics.Parked, -1)
+		s.stats.Add(metrics.ParkedExpired, 1)
 	}
 }
 
@@ -209,7 +210,7 @@ func (s *Server) restoreCheckpoints() {
 	}
 	for _, f := range files {
 		s.warm.push(warmKey{carrier: f.Carrier, arch: f.Arch}, f.Snapshot)
-		s.stats.CheckpointRestored()
+		s.stats.Add(metrics.CheckpointRestores, 1)
 	}
 }
 
@@ -239,7 +240,8 @@ func (s *Server) CheckpointNow() (int, error) {
 		total += n
 	}
 	if total > 0 {
-		s.stats.CheckpointSaved(int64(total))
+		s.stats.Add(metrics.CheckpointSaves, 1)
+		s.stats.Set(metrics.CheckpointBytes, int64(total))
 		s.opts.Tracer.Emit(obs.Event{
 			Kind:   obs.EvCheckpoint,
 			Bytes:  int64(total),
@@ -278,7 +280,7 @@ func (s *Server) housekeeping() {
 		case now := <-sweepC:
 			s.sweepParked(now)
 			for n := s.replicas.sweep(now); n > 0; n-- {
-				s.stats.ReplicaDropped()
+				s.stats.Add(metrics.ReplicaSessions, -1)
 			}
 		case <-ckptC:
 			s.CheckpointNow()

@@ -109,9 +109,6 @@ const (
 	// maxParked bounds the parked-session table; at the bound the entry
 	// closest to expiry is evicted.
 	maxParked = 256
-	// suspectThreshold is the consecutive failed probes that confirm a
-	// peer down.
-	suspectThreshold = 2
 )
 
 // withDefaults fills the resilience defaults.
@@ -571,14 +568,14 @@ func (s *Server) serve(conn net.Conn) {
 	cdc, err := s.session(br, w)
 	if err != nil {
 		if errors.Is(err, errInterrupted) {
-			s.stats.SessionInterrupted()
+			s.stats.Add(metrics.Interrupted, 1)
 			return
 		}
 		var re *redirectError
 		if errors.As(err, &re) {
 			// Redirect: not a session error. The error line carries the
 			// owning node so the client re-dials there instead of retrying.
-			s.stats.SessionRedirected()
+			s.stats.Add(metrics.Redirected, 1)
 			enc := json.NewEncoder(w)
 			if enc.Encode(wire.ErrorLine{Error: err.Error(), Redirect: re.owner}) == nil && w.Flush() == nil {
 				conn.SetReadDeadline(time.Now().Add(time.Second))
@@ -587,7 +584,7 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 		if !errors.Is(err, errOverLimit) {
-			s.stats.SessionError()
+			s.stats.Add(metrics.SessionErrors, 1)
 		}
 		if cdc == nil {
 			cdc = newJSONLCodec(br, w)
@@ -664,12 +661,13 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		}
 	}
 	if !s.acquireSlot() {
-		s.stats.SessionRejected()
+		s.stats.Add(metrics.Rejected, 1)
 		return nil, fmt.Errorf("server: session limit reached (max %d), %w", s.opts.MaxSessions, errOverLimit)
 	}
 	defer s.releaseSlot()
-	s.stats.SessionOpened()
-	defer s.stats.SessionClosed()
+	s.stats.Add(metrics.Sessions, 1)
+	s.stats.Add(metrics.Active, 1)
+	defer s.stats.Add(metrics.Active, -1)
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvSessionOpen,
 		Session: hello.SessionToken,
@@ -732,9 +730,9 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 				// session serves on into a copy of its replay buffer.
 				prog, seq, buf, replay = p.prog, pseq, pbuf.clone(), rs
 				resumed = true
-				s.stats.SessionResumed()
+				s.stats.Add(metrics.Resumed, 1)
 				if p.migrated {
-					s.stats.MigratedResume()
+					s.stats.Add(metrics.MigratedResumes, 1)
 				}
 				s.opts.Tracer.Emit(obs.Event{
 					Kind:    obs.EvSessionResume,
@@ -828,10 +826,10 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			var pe *protocolError
 			switch {
 			case errors.Is(err, wire.ErrLineTooLong):
-				s.stats.AddOversized()
+				s.stats.Add(metrics.Oversized, 1)
 				return cdc, fmt.Errorf("server: record exceeds the %d-byte line limit", maxLineBytes)
 			case errors.Is(err, wire.ErrFrameTooLarge):
-				s.stats.AddOversized()
+				s.stats.Add(metrics.Oversized, 1)
 				return cdc, fmt.Errorf("server: record exceeds the %d-byte frame limit", wire.MaxFrameBytes)
 			case errors.As(err, &pe):
 				return cdc, fmt.Errorf("server: bad record: %w", pe.err)
@@ -841,17 +839,17 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		}
 		switch {
 		case rec.Report != nil:
-			s.stats.AddReport()
+			s.stats.Add(metrics.Reports, 1)
 			prog.OnReport(*rec.Report)
 		case rec.HO != nil:
-			s.stats.AddHandover()
+			s.stats.Add(metrics.Handovers, 1)
 			prog.OnHandover(*rec.HO)
 		case rec.Sample != nil:
 			reqStart := time.Now()
-			s.stats.AddSample()
+			s.stats.Add(metrics.Samples, 1)
 			prog.OnSample(*rec.Sample)
 			pred := prog.Predict()
-			s.stats.AddPrediction()
+			s.stats.Add(metrics.Predictions, 1)
 			seq++
 			resp := wire.Response{
 				Time:       rec.Sample.Time,

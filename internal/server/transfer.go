@@ -21,6 +21,7 @@ import (
 	"repro/internal/cellular"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/ran"
 	"repro/internal/wire"
@@ -77,9 +78,9 @@ func (s *Server) serveTransfer(hello *wire.Hello, br *bufio.Reader, w *bufio.Wri
 		}
 		seq++
 		if hold {
-			s.stats.ReplicationReceived(int64(len(p)))
+			s.stats.Add(metrics.ReplicationBytesIn, int64(len(p)))
 		} else {
-			s.stats.MigrationReceived(int64(len(p)))
+			s.stats.Add(metrics.MigrationBytesIn, int64(len(p)))
 		}
 		var st cluster.SessionState
 		ok := json.Unmarshal(p, &st) == nil && s.installState(st, hello.Node, hold) == nil
@@ -123,14 +124,14 @@ func (s *Server) installState(st cluster.SessionState, origin string, hold bool)
 		// Latest push wins; only a token new to the table moves the gauge.
 		r := replica{st: st, origin: origin}
 		if replaced, _ := s.replicas.put(st.Token, r, time.Now().Add(s.opts.ResumeGrace)); !replaced {
-			s.stats.ReplicaStored()
+			s.stats.Add(metrics.ReplicaSessions, 1)
 		}
 		return nil
 	}
 	if err := s.parkState(st, false); err != nil {
 		return err
 	}
-	s.stats.SessionMigratedIn()
+	s.stats.Add(metrics.MigratedIn, 1)
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvMigrateIn,
 		Session: st.Token,
@@ -318,17 +319,17 @@ func (s *Server) DrainToCluster(timeout time.Duration) (DrainStats, error) {
 	// expiry on install.
 	sessions := make(map[string]cluster.SessionState)
 	for _, p := range s.parked.drain() {
-		s.stats.SessionUnparked()
+		s.stats.Add(metrics.Parked, -1)
 		sessions[p.token] = p.state()
 	}
 	total, targets, firstErr := s.shipRound(rest, sessions, false, timeout)
 	ds.Sessions, ds.Contexts, ds.Rejected = total.Sessions, total.Contexts, total.Rejected
 	ds.Targets, ds.Bytes = targets, total.Bytes
-	for i := 0; i < ds.Sessions; i++ {
-		s.stats.SessionMigratedOut()
-	}
+	s.stats.Add(metrics.MigratedOut, int64(ds.Sessions))
 	ds.Elapsed = time.Since(start)
-	s.stats.MigrationShipped(ds.Bytes, ds.Elapsed)
+	s.stats.Add(metrics.MigrationPasses, 1)
+	s.stats.Add(metrics.MigrationBytesOut, ds.Bytes)
+	s.stats.Set(metrics.MigrationLastUS, ds.Elapsed.Microseconds())
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:  obs.EvMigrateOut,
 		Bytes: ds.Bytes,
