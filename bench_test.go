@@ -137,6 +137,30 @@ func BenchmarkSimFreewayKm(b *testing.B) {
 	}
 }
 
+// BenchmarkSimCityKm is BenchmarkSimFreewayKm's city counterpart: the
+// perfbench offline workload's city shape (OpX NSA over a 1 km mmWave loop
+// at CityDensity 0.7 and 8.3 m/s), driven for two laps. A city tick
+// observes more than twice as many cells as a freeway tick, most of them
+// mmWave sectors seen from behind.
+func BenchmarkSimCityKm(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		log, err := sim.Run(sim.Config{
+			Carrier:      topology.OpX(),
+			Arch:         cellular.ArchNSA,
+			RouteKind:    geo.RouteCityLoop,
+			RouteLengthM: 1000,
+			Laps:         2,
+			SpeedMPS:     8.3,
+			Seed:         1,
+			TopoOpts:     topology.Options{CityDensity: 0.7},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(log.Handovers))/log.DistanceKM(), "HO/km")
+	}
+}
+
 // benchPrognos builds the OpX NSA Prognos the prediction benches replay
 // through.
 func benchPrognos(b *testing.B) *core.Prognos {

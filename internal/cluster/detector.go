@@ -19,15 +19,10 @@ type DetectorConfig struct {
 	// bounds one probe round trip (default Interval, floored at 10ms).
 	Interval time.Duration
 	Timeout  time.Duration
-	// Threshold is the number of consecutive failed probes that confirms
-	// a peer down (default 2). With the defaults a crash is confirmed in
-	// ~100–150ms — fast enough that a redirected client still has
-	// recovery attempts left when the successor starts serving replicas
-	// (see docs/ARCHITECTURE.md §Failure model).
-	Threshold int
 	// OnChange, if set, is called once per confirmed transition: down=true
-	// when a peer crosses Threshold misses, down=false when a confirmed-
-	// down peer answers again. Called from the probe loop; keep it cheap.
+	// when a peer reaches confirmMisses misses, down=false when a
+	// confirmed-down peer answers again. Called from the probe loop; keep
+	// it cheap.
 	OnChange func(peer string, down bool)
 	// Probe overrides the probe implementation (tests). The default is
 	// ProbeStats: a full stats-hello round trip, so "up" means "serving
@@ -35,9 +30,16 @@ type DetectorConfig struct {
 	Probe func(addr string, timeout time.Duration) error
 }
 
+// confirmMisses is the number of consecutive failed probes that confirms a
+// peer down. With the default interval a crash is confirmed in ~100–150ms
+// — fast enough that a redirected client still has recovery attempts left
+// when the successor starts serving replicas (see docs/ARCHITECTURE.md
+// §Failure model) — while a single lost probe never is.
+const confirmMisses = 2
+
 // Detector is a lightweight crash-failure detector: it probes the
 // configured peers on a fixed interval and confirms a peer down after
-// Threshold consecutive probe failures. Confirmation is deliberately the
+// confirmMisses consecutive probe failures. Confirmation is deliberately the
 // only signal the serving path trusts — replicated session state outranks
 // ring ownership solely for peers the detector currently holds down — so
 // a slow peer costs redirects, never split-brain serving.
@@ -63,9 +65,6 @@ func NewDetector(cfg DetectorConfig) *Detector {
 	}
 	if cfg.Timeout < 10*time.Millisecond {
 		cfg.Timeout = 10 * time.Millisecond
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 2
 	}
 	if cfg.Probe == nil {
 		cfg.Probe = ProbeStats
@@ -133,7 +132,7 @@ func (d *Detector) record(peer string, ok bool) {
 		}
 	} else {
 		d.miss[peer]++
-		if d.miss[peer] >= d.cfg.Threshold && !d.down[peer] {
+		if d.miss[peer] >= confirmMisses && !d.down[peer] {
 			d.down[peer] = true
 			changed, down = true, true
 		}

@@ -36,17 +36,16 @@ func (p *fakeProbe) probe(addr string, _ time.Duration) error {
 }
 
 // TestDetectorConfirmAndRecover walks one peer through the full
-// lifecycle: healthy, confirmed down after Threshold consecutive misses,
+// lifecycle: healthy, confirmed down after confirmMisses consecutive misses,
 // confirmed back up on the first answering probe — with OnChange fired
 // exactly once per transition in each direction.
 func TestDetectorConfirmAndRecover(t *testing.T) {
 	probe := &fakeProbe{}
 	var downs, ups atomic.Int64
 	d := NewDetector(DetectorConfig{
-		Peers:     []string{"peer-a", "peer-b"},
-		Interval:  5 * time.Millisecond,
-		Threshold: 2,
-		Probe:     probe.probe,
+		Peers:    []string{"peer-a", "peer-b"},
+		Interval: 5 * time.Millisecond,
+		Probe:    probe.probe,
 		OnChange: func(peer string, down bool) {
 			if peer != "peer-a" {
 				t.Errorf("transition on healthy peer %s", peer)
@@ -99,19 +98,18 @@ func TestDetectorConfirmAndRecover(t *testing.T) {
 	d.Stop() // idempotent with the deferred Stop
 }
 
-// TestDetectorThreshold pins that a single missed probe — a blip below
-// Threshold — never confirms a peer down.
+// TestDetectorThreshold pins that a single missed probe — a blip one
+// short of confirmMisses — never confirms a peer down.
 func TestDetectorThreshold(t *testing.T) {
 	probe := &fakeProbe{}
 	var rounds atomic.Int64
 	fired := make(chan string, 1)
 	d := NewDetector(DetectorConfig{
-		Peers:     []string{"peer-a"},
-		Interval:  5 * time.Millisecond,
-		Threshold: 3,
+		Peers:    []string{"peer-a"},
+		Interval: 5 * time.Millisecond,
 		Probe: func(addr string, timeout time.Duration) error {
-			// Fail exactly the first two probes: one short of Threshold.
-			if rounds.Add(1) <= 2 {
+			// Fail exactly the first probe: one short of confirmMisses (2).
+			if rounds.Add(1) == 1 {
 				return errors.New("blip")
 			}
 			return probe.probe(addr, timeout)

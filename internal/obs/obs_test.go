@@ -9,6 +9,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,6 +298,59 @@ func TestServerExpositionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "server_metrics.prom", []byte(b.String()))
+}
+
+// TestServerMetricsOneSnapshotPerRender pins that a render reads the whole
+// prognosd family from one server snapshot: one snap call per Render, and
+// under concurrent renders every series of one exposition comes from the
+// same snapshot (each snapshot stamps its ordinal into two counters, which
+// must render equal).
+func TestServerMetricsOneSnapshotPerRender(t *testing.T) {
+	var calls atomic.Int64
+	r := obs.NewRegistry()
+	obs.RegisterServerMetrics(r, func() metrics.ServerSnapshot {
+		snap := cannedSnapshot()
+		n := calls.Add(1)
+		snap.Samples, snap.Predictions = n, n
+		return snap
+	})
+	render := func() map[string]float64 {
+		var b strings.Builder
+		if err := r.Render(&b); err != nil {
+			t.Error(err)
+			return nil
+		}
+		got, err := obs.ParseMetrics(strings.NewReader(b.String()))
+		if err != nil {
+			t.Error(err)
+		}
+		return got
+	}
+	for i := 1; i <= 3; i++ {
+		render()
+		if got := calls.Load(); got != int64(i) {
+			t.Fatalf("%d renders took %d snapshots, want %d", i, got, i)
+		}
+	}
+
+	const workers, renders = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < renders; i++ {
+				got := render()
+				if s, p := got["prognos_samples_total"], got["prognos_predictions_total"]; s != p {
+					t.Errorf("one exposition mixes snapshots: samples %v, predictions %v", s, p)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := calls.Load(), int64(3+workers*renders); got != want {
+		t.Errorf("%d renders took %d snapshots, want one each", want, got)
+	}
 }
 
 // TestStatsHelloJSONGolden pins the stats hello's answer for the canned

@@ -67,6 +67,10 @@ type Registry struct {
 	// instances apart. Empty means bare sample lines, byte-identical to
 	// the pre-cluster exposition.
 	constLabels map[string]string
+	// prepare holds the onRender hooks. collect serialises renders, so
+	// what a hook stores is what the same render's series read.
+	prepare []func()
+	collect sync.Mutex
 }
 
 // NewRegistry returns an empty registry.
@@ -122,6 +126,16 @@ func (r *Registry) LabeledGauge(name, help string, labels map[string]string, fn 
 	r.register(&metric{name: name, help: help, kind: kindGauge, labels: ls, value: fn})
 }
 
+// onRender registers fn to run at the start of every render, before any
+// series is collected. A family of series reads one sample per render
+// through it: the hook takes the sample and the series' closures read
+// what it stored, which renders, being serialised, never race on.
+func (r *Registry) onRender(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.prepare = append(r.prepare, fn)
+}
+
 // Histogram registers a latency distribution. fn returns a
 // metrics.LatencySnapshot (the log-linear histogram export); the encoder
 // renders it as a classic Prometheus cumulative-bucket histogram with
@@ -145,11 +159,18 @@ func (r *Registry) Render(w io.Writer) error {
 		ms = append(ms, r.metrics[name])
 	}
 	constLabels := r.constLabels
+	prepare := r.prepare
 	r.mu.Unlock()
 
 	// Collect outside the registry lock: collect closures may themselves
 	// take locks (e.g. a server stats snapshot) and must not nest inside
-	// ours.
+	// it. Renders run one at a time, so the onRender hooks can store what
+	// this render's closures read; a closure must not render r itself.
+	r.collect.Lock()
+	defer r.collect.Unlock()
+	for _, fn := range prepare {
+		fn()
+	}
 	var b strings.Builder
 	for _, m := range ms {
 		labels := mergeLabels(constLabels, m.labels)
@@ -243,14 +264,16 @@ func escapeHelp(s string) string {
 // RegisterServerMetrics registers the full prognosd metric family over a
 // server-stats snapshot function (typically (*server.Server).Stats): one
 // series per row of metrics.Counters, plus uptime, replication lag and the
-// latency histogram, which are not stored counters. Every scrape takes
-// fresh snapshots, so the series always reflect the live atomic counters.
+// latency histogram, which are not stored counters. Every render takes one
+// fresh snapshot and reads the whole family from it, so a scrape reflects
+// the live atomic counters at one instant.
 func RegisterServerMetrics(r *Registry, snap func() metrics.ServerSnapshot) {
+	var s metrics.ServerSnapshot // the current render's snapshot
+	r.onRender(func() { s = snap() })
 	r.Gauge("prognos_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return snap().UptimeMS / 1e3 })
+		func() float64 { return s.UptimeMS / 1e3 })
 	for _, spec := range metrics.Counters {
 		value := func() float64 {
-			s := snap()
 			v := float64(*spec.Field(&s))
 			if spec.Div != 0 {
 				v /= spec.Div
@@ -265,10 +288,10 @@ func RegisterServerMetrics(r *Registry, snap func() metrics.ServerSnapshot) {
 	}
 	r.Gauge("prognos_replication_lag_seconds",
 		"Age of the most recent outbound replication push: the bounded-staleness window a crash of this node can lose.",
-		func() float64 { return float64(snap().ReplicationLagUS) / 1e6 })
+		func() float64 { return float64(s.ReplicationLagUS) / 1e6 })
 	r.Histogram("prognos_request_latency_seconds",
 		"Server-side per-sample serving latency (OnSample through response flush).",
-		func() metrics.LatencySnapshot { return snap().Latency })
+		func() metrics.LatencySnapshot { return s.Latency })
 }
 
 // RegisterBuildInfo registers prognos_build_info, the identity gauge that

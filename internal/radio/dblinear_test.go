@@ -50,6 +50,13 @@ func TestDBToLinearSpecialValues(t *testing.T) {
 		{"noise floor", -100},
 		{"odd integer y", -130},
 		{"fraction above one half", -147.3},
+		{"last integer part of the table", 2550},
+		{"last integer part of the table, negative", -2550},
+		{"rounds up to the table's last integer part", 2545},
+		{"rounds up past the table", 2556},
+		{"rounds up past the table, negative", -2556},
+		{"first integer part past the table", 2560},
+		{"first integer part past the table, negative", -2563.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) { sameAsPow(t, tc.db) })
 	}
@@ -62,17 +69,41 @@ func TestDBToLinearSpecialValues(t *testing.T) {
 }
 
 // TestDBToLinearSweep checks the kernel against math.Pow on the 0.1 dB
-// grid over the simulator's range, on random values in that range, and on
+// grid over the simulator's range and across the squaring table's
+// bound, where the integer part of db/10 reaches 2^8 and the kernel falls
+// back to pow's loop and Ldexp; on random values in those ranges; and on
 // random bit patterns.
 func TestDBToLinearSweep(t *testing.T) {
 	for i := -2000; i <= 600; i++ {
 		sameAsPow(t, float64(i)/10)
 	}
+	for i := 25000; i <= 26000 && !t.Failed(); i++ {
+		sameAsPow(t, float64(i)/10)
+		sameAsPow(t, -float64(i)/10)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100_000 && !t.Failed(); i++ {
 		sameAsPow(t, -200+260*rng.Float64())
 		sameAsPow(t, -140+20*rng.NormFloat64())
+		sameAsPow(t, 6000*(2*rng.Float64()-1))
 		sameAsPow(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// TestPow10Squarings pins what the kernel's power-of-two scaling rests
+// on: every squaring's mantissa lies in [0.5, 1), and the exponents of
+// all eight sum to 852, so for an integer part below 2^8 the scale
+// 2^±852 at most is a normal float and the result stays normal.
+func TestPow10Squarings(t *testing.T) {
+	sum := 0
+	for k, sq := range pow10Squarings {
+		if sq.x1 < 0.5 || sq.x1 >= 1 {
+			t.Errorf("squaring %d mantissa %v outside [0.5, 1)", k, sq.x1)
+		}
+		sum += sq.xe
+	}
+	if sum != 852 {
+		t.Errorf("squaring exponents sum to %d, want 852", sum)
 	}
 }
 

@@ -220,13 +220,42 @@ var (
 	frac10, exp10 = math.Frexp(10)
 )
 
+// pow10Bits is the number of low integer-part bits pow10Squarings covers:
+// every dB value the simulator converts, -150 to +40, has an integer part
+// of y = db/10 below 2⁸.
+const pow10Bits = 8
+
+// pow10Squarings holds pow's successive squarings of 10 = x1·2^xe for bit k
+// of the exponent's integer part: 10^(2^k) as pow's loop reaches it, with
+// x1 renormalised into [0.5, 1) at each step. They are built once, by the
+// loop's own steps, so reading them gives that loop's bits. Their
+// exponents stay far below the loop's overflow guard (10^128 is 2^426).
+var pow10Squarings = func() (t [pow10Bits]struct {
+	x1 float64
+	xe int
+}) {
+	x1, xe := frac10, exp10
+	for k := range t {
+		t[k].x1, t[k].xe = x1, xe
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+	return t
+}()
+
 // DBToLinear returns 10^(db/10), the linear value of a dB quantity, bit for
 // bit equal to math.Pow(10, db/10) wherever math.Pow is Go's pure-Go pow
 // (every port but s390x). It runs pow's own steps for a base of 10, with
 // the base's Log and Frexp taken once above instead of on every call: the
 // special cases, Modf of the exponent, Exp of its fraction times ln 10,
 // square-and-multiply over the mantissa and exponent of 10 for its integer
-// part, and Ldexp.
+// part, and Ldexp. An integer part below 2⁸ reads its squarings from
+// pow10Squarings and scales by a power of two, which is what Ldexp does
+// whenever the result is normal, as it then always is.
 func DBToLinear(db float64) float64 {
 	y := db / 10
 	switch {
@@ -263,6 +292,26 @@ func DBToLinear(db float64) float64 {
 			yi++
 		}
 		a1 = math.Exp(yf * ln10)
+	}
+
+	if yi < 1<<pow10Bits {
+		// a1 is 10**yf in [10^-0.5, 10^0.5] times at most pow10Bits
+		// squarings in [0.5, 1), so a1 and its reciprocal lie in
+		// [2^-10, 2^10], and |ae| is at most 852, the sum of all eight
+		// squarings' exponents (10^255 = x·2^852).
+		// a1·2^ae is then normal, and multiplying by the power of two is
+		// exact, as Ldexp is.
+		for k, i := 0, int(yi); i != 0; k, i = k+1, i>>1 {
+			if i&1 == 1 {
+				a1 *= pow10Squarings[k].x1
+				ae += pow10Squarings[k].xe
+			}
+		}
+		if y < 0 {
+			a1 = 1 / a1
+			ae = -ae
+		}
+		return a1 * math.Float64frombits(uint64(1023+ae)<<52)
 	}
 
 	// ans *= 10**yi by successive squarings of 10 = x1 * 2**xe.

@@ -24,7 +24,7 @@ type cellGrid struct {
 }
 
 // gridBucket holds one hash cell's towers plus the squared radio reach of
-// its longest-range band, so nearby can skip buckets that cannot contain an
+// its longest-range band, so inRange can skip buckets that cannot contain an
 // in-range cell: a low-band tower is visible from 9 km but a mmWave-only
 // bucket matters within 800 m, and without the per-bucket bound the global
 // low-band reach would force every mmWave-dense bucket of the search square
@@ -95,15 +95,16 @@ func (g *cellGrid) minDist2(k gridKey, p geo.Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// nearby visits every cell that could be within radio range of p, in
-// deterministic bucket/insertion order (ix then iy ascending — identical to
-// the map-keyed implementation's -reach..reach walk, with out-of-bounds and
-// out-of-reach buckets dropped). Buckets whose nearest corner is beyond
-// their own longest band reach are skipped whole: their cells would all
-// fail the caller's exact per-band range filter anyway.
-func (g *cellGrid) nearby(p geo.Point, visit func(*cellular.Cell)) {
+// inRange appends to dst every cell within its band's radio range of p,
+// with its distance, in deterministic bucket/insertion order (ix then iy
+// ascending — identical to the map-keyed implementation's -reach..reach
+// walk, with out-of-bounds and out-of-reach buckets dropped). Buckets
+// whose nearest corner is beyond their own longest band reach are skipped
+// whole: their cells would all fail the exact per-band range filter
+// anyway.
+func (g *cellGrid) inRange(dst []scanObs, p geo.Point) []scanObs {
 	if g.nx == 0 {
-		return
+		return dst
 	}
 	k := g.keyFor(p.X, p.Y)
 	ix0 := max(k.ix-g.reach, g.minIx)
@@ -118,8 +119,11 @@ func (g *cellGrid) nearby(p geo.Point, visit func(*cellular.Cell)) {
 				continue
 			}
 			for _, c := range b.cells {
-				visit(c)
+				if d := p.Dist(geo.Point{X: c.X, Y: c.Y}); d <= maxRangeM(c.Band) {
+					dst = append(dst, scanObs{cell: c, d: d})
+				}
 			}
 		}
 	}
+	return dst
 }

@@ -126,11 +126,12 @@ func TestCellGridFindsAllNearbyCells(t *testing.T) {
 			}
 		}
 		got := map[string]bool{}
-		grid.nearby(p, func(c *cellular.Cell) {
-			if p.Dist(geo.Point{X: c.X, Y: c.Y}) <= maxRangeM(c.Band) {
-				got[c.GlobalID()] = true
+		for _, o := range grid.inRange(nil, p) {
+			if o.d != p.Dist(geo.Point{X: o.cell.X, Y: o.cell.Y}) {
+				t.Fatalf("grid reports cell %s at %v m, brute force %v m", o.cell.GlobalID(), o.d, p.Dist(geo.Point{X: o.cell.X, Y: o.cell.Y}))
 			}
-		})
+			got[o.cell.GlobalID()] = true
+		}
 		if len(got) != len(want) {
 			t.Fatalf("at s=%v grid found %d cells, brute force %d", s, len(got), len(want))
 		}

@@ -24,6 +24,12 @@ type cellObs struct {
 	rsrp float64
 }
 
+// scanObs is one in-range cell of a scan and its distance from the UE.
+type scanObs struct {
+	cell *cellular.Cell
+	d    float64
+}
+
 // pendingHO is a handover in flight.
 type pendingHO struct {
 	typ       cellular.HOType
@@ -109,10 +115,8 @@ type state struct {
 	// interf is the interferer scratch buffer reused across rrsFor calls;
 	// no caller retains the returned slice beyond one call.
 	interf []float64
-	// scanPoint carries the UE position into visitCell; binding the visitor
-	// once at construction keeps the grid walk closure-allocation-free.
-	scanPoint geo.Point
-	visitCell func(*cellular.Cell)
+	// batch holds the scan's in-range cells, reused across ticks.
+	batch []scanObs
 
 	// Closed-loop state (nil/zero unless cfg.Adaptive is enabled — the
 	// static path must stay bit-identical to the goldens). prog is the
@@ -152,21 +156,6 @@ func newState(cfg Config, route *geo.Polyline, dep *topology.Deployment, rng *ra
 			Arch:      cfg.Arch,
 			RouteKind: cfg.RouteKind.String(),
 		},
-	}
-	s.visitCell = func(c *cellular.Cell) {
-		p := s.scanPoint
-		d := p.Dist(geo.Point{X: c.X, Y: c.Y})
-		if d > maxRangeM(c.Band) {
-			return
-		}
-		o := cellObs{cell: c, rsrp: s.filter(c, s.observeAt(c, p, d))}
-		s.obsGen[c.Index] = s.scanGen
-		s.obsRSRP[c.Index] = o.rsrp
-		if c.Tech == cellular.TechLTE {
-			s.obsLTE = append(s.obsLTE, o)
-		} else {
-			s.obsNR = append(s.obsNR, o)
-		}
 	}
 	var policy *ran.Policy
 	if cfg.Scenario != nil {
@@ -328,13 +317,27 @@ func (s *state) filter(c *cellular.Cell, raw float64) float64 {
 	return v
 }
 
-// scan refreshes the per-tick observation lists for both technologies.
+// scan refreshes the per-tick observation lists for both technologies. The
+// grid walk first collects the in-range cells with their distances into a
+// reused batch; the observations then run over the batch in scan order,
+// so every per-cell stream and the shared s.rng see the draws they always
+// did.
 func (s *state) scan(p geo.Point) {
 	s.obsLTE = s.obsLTE[:0]
 	s.obsNR = s.obsNR[:0]
 	s.scanGen++
-	s.scanPoint = p
-	s.grid.nearby(p, s.visitCell)
+	s.batch = s.grid.inRange(s.batch[:0], p)
+	for _, b := range s.batch {
+		c := b.cell
+		o := cellObs{cell: c, rsrp: s.filter(c, s.observeAt(c, p, b.d))}
+		s.obsGen[c.Index] = s.scanGen
+		s.obsRSRP[c.Index] = o.rsrp
+		if c.Tech == cellular.TechLTE {
+			s.obsLTE = append(s.obsLTE, o)
+		} else {
+			s.obsNR = append(s.obsNR, o)
+		}
+	}
 }
 
 // best returns the strongest observation, optionally excluding one cell.

@@ -156,13 +156,69 @@ type Deployment struct {
 	// GlobalID-keyed maps this scheme replaces.
 	slotByCell []int32
 	slots      int
-	// azimuth stores each slot's boresight direction (radians); sectored
-	// antennas give neighbouring sectors of one tower distinct coverage
-	// lobes. Like the former GlobalID-keyed map, the last generated cell of
-	// a shared slot wins.
-	azimuth []float64
-	// beamwidth (radians, 3 dB) per slot.
-	beamwidth []float64
+	// sectors stores each slot's antenna pattern; sectored antennas give
+	// neighbouring sectors of one tower distinct coverage lobes. Like the
+	// former GlobalID-keyed map, the last generated cell of a shared slot
+	// wins.
+	sectors []sector
+}
+
+// sector is one slot's antenna pattern: its boresight and 3 dB beamwidth,
+// plus what SectorGainDB needs to recognise the back lobe without an
+// Atan2.
+type sector struct {
+	az, bw float64 // boresight direction and beamwidth, radians
+	// ux, uy is the boresight unit vector (cos az, sin az).
+	ux, uy float64
+	// cosFloor is the cosine of the off-boresight angle past which the
+	// pattern surely sits on its floor: cos(floorAngle + floorMargin).
+	// It is -2, which no direction's cosine is below, where the floor is
+	// out of reach, and where |az| ≥ 4π: there a-b in angleDiff rounds
+	// away more than the margin, so only the Atan2 path gives its bits.
+	// Generate's azimuths lie in (-π, 3π).
+	cosFloor float64
+}
+
+// Antenna pattern constants: the parabolic pattern loses patternSlopeDB
+// at the beam edge (bw/2 off boresight) and is clamped at gainFloorDB,
+// which it reaches at floorAngle = (bw/2)·sqrt(gainFloorDB/patternSlopeDB).
+// floorMargin (radians) keeps the back-lobe test far from that boundary:
+// the dot product, Atan2 and the angle wrap each err by under 1e-14 rad,
+// eight orders of magnitude below it.
+const (
+	patternSlopeDB = -12.0
+	gainFloorDB    = -20.0
+	floorMargin    = 1e-6
+)
+
+// newSector builds the pattern of a slot whose boresight is az and whose
+// beamwidth is bw.
+func newSector(az, bw float64) sector {
+	s := sector{az: az, bw: bw, ux: math.Cos(az), uy: math.Sin(az), cosFloor: -2}
+	if edge := bw/2*math.Sqrt(gainFloorDB/patternSlopeDB) + floorMargin; edge < math.Pi && math.Abs(az) < 4*math.Pi {
+		s.cosFloor = math.Cos(edge)
+	}
+	return s
+}
+
+// behind reports whether the direction (dx, dy) from the tower lies more
+// than floorAngle + floorMargin off boresight, where the pattern is
+// surely on its floor. It compares cos θ = u·v/|v| with cosFloor on
+// squares, so it takes no square root. It answers false, leaving the
+// decision to the exact path, for the tower's own position, for NaNs and
+// for offsets whose squared length lies outside [1e-100, 1e100], where
+// the squares would lose precision or overflow.
+func (s *sector) behind(dx, dy float64) bool {
+	r2 := dx*dx + dy*dy
+	if !(r2 > 1e-100 && r2 < 1e100) {
+		return false
+	}
+	dot := s.ux*dx + s.uy*dy
+	k := s.cosFloor
+	if k >= 0 {
+		return dot < 0 || dot*dot < k*k*r2
+	}
+	return dot < 0 && dot*dot > k*k*r2
 }
 
 // idKey is a cell's (tech, PCI) identity — the typed equivalent of the
@@ -301,12 +357,10 @@ func (d *Deployment) genLayer(layer Layer, rng *rand.Rand, opts Options, towerID
 			if len(group) == 0 {
 				slot = int32(d.slots)
 				d.slots++
-				d.azimuth = append(d.azimuth, az)
-				d.beamwidth = append(d.beamwidth, bw)
+				d.sectors = append(d.sectors, newSector(az, bw))
 			} else {
 				slot = d.slotByCell[group[0].Index]
-				d.azimuth[slot] = az
-				d.beamwidth[slot] = bw
+				d.sectors[slot] = newSector(az, bw)
 			}
 			d.byID[id] = append(group, c)
 			d.slotByCell = append(d.slotByCell, slot)
@@ -339,29 +393,50 @@ func (d *Deployment) CellsWithPCI(tech cellular.Tech, pci cellular.PCI) []*cellu
 // SectorGainDB returns the directional antenna gain (dB, <= 0) of the cell
 // toward the UE at position p, using a parabolic pattern with a 20 dB
 // back-lobe floor. Omnidirectional single-sector cells (and cells foreign
-// to the deployment) return 0.
+// to the deployment) return 0. A UE surely on the floor gets it from a dot
+// product with the boresight; everywhere else the gain comes from the
+// angle Atan2 gives, so both paths return the same bits.
 func (d *Deployment) SectorGainDB(c *cellular.Cell, p geo.Point) float64 {
 	if c.Index < 0 || c.Index >= len(d.slotByCell) || d.Cells[c.Index] != c {
 		return 0
 	}
-	slot := d.slotByCell[c.Index]
-	bw := d.beamwidth[slot]
+	s := &d.sectors[d.slotByCell[c.Index]]
+	bw := s.bw
 	if bw >= 2*math.Pi*0.99 {
 		return 0
 	}
-	az := d.azimuth[slot]
-	toUE := math.Atan2(p.Y-c.Y, p.X-c.X)
-	delta := math.Abs(angleDiff(toUE, az))
-	g := -12 * (delta / (bw / 2)) * (delta / (bw / 2))
-	if g < -20 {
-		g = -20
+	dx, dy := p.X-c.X, p.Y-c.Y
+	if s.behind(dx, dy) {
+		return gainFloorDB
+	}
+	toUE := math.Atan2(dy, dx)
+	delta := math.Abs(angleDiff(toUE, s.az))
+	g := patternSlopeDB * (delta / (bw / 2)) * (delta / (bw / 2))
+	if g < gainFloorDB {
+		g = gainFloorDB
 	}
 	return g
 }
 
-// angleDiff returns the signed smallest difference a-b in (-π, π].
+// angleDiff returns the signed smallest difference a-b in (-π, π]. The
+// first wrap is math.Mod(a-b, 2π), which is exact: for |a-b| < 4π, every
+// value Atan2 and the sector azimuths produce, it is a-b itself or a-b∓2π,
+// and that subtraction is exact by Sterbenz's lemma, so the conditional
+// below gives Mod's bits without its loop. At a-b = -2π Mod returns -0
+// where the sum gives +0, so that point and anything wider take Mod.
 func angleDiff(a, b float64) float64 {
-	d := math.Mod(a-b, 2*math.Pi)
+	x := a - b
+	var d float64
+	switch {
+	case -2*math.Pi < x && x < 2*math.Pi:
+		d = x
+	case 2*math.Pi <= x && x < 4*math.Pi:
+		d = x - 2*math.Pi
+	case -4*math.Pi < x && x < -2*math.Pi:
+		d = x + 2*math.Pi
+	default:
+		d = math.Mod(x, 2*math.Pi)
+	}
 	if d > math.Pi {
 		d -= 2 * math.Pi
 	}
