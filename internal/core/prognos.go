@@ -48,7 +48,11 @@ type Prediction struct {
 	// Type is HONone). It is an interned string — hot paths (core.Replay,
 	// the serving loop) read it without the allocation Pattern.Key() costs.
 	PatternKey string
-	// Pattern is the matched pattern (empty when Type is HONone).
+	// Pattern is the matched pattern (empty when Type is HONone), a copy
+	// taken at the match. Its Seq shares the learner's storage and must
+	// not be written: the learner never rewrites a stored sequence
+	// (ObservePhase copies on insert, Bootstrap and SetState on load,
+	// Patterns on export).
 	Pattern Pattern
 }
 
@@ -377,15 +381,13 @@ func (p *Prognos) Predict() Prediction {
 	p.activeKey = bestKey
 	p.activeType = bestPat.HO
 	p.activeForecast = bestForecast
-	cp := *bestPat
-	cp.Seq = append([]string(nil), bestPat.Seq...)
 	return Prediction{
 		Type:       bestPat.HO,
 		Score:      p.scores.Score(bestPat.HO),
 		Similarity: bestSim,
 		Lead:       lead,
 		PatternKey: bestKey,
-		Pattern:    cp,
+		Pattern:    *bestPat,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cellular"
+	"repro/internal/cluster"
 	"repro/internal/wire"
 )
 
@@ -82,12 +83,12 @@ func TestReplayRingMatchesShiftOracle(t *testing.T) {
 			}
 		}
 
-		outbox := newReplicaOutbox()
-		outbox.put(&wire.Hello{SessionToken: "ue"}, seq, ring)
-		if got, want := outbox.drain()["ue"].Responses, oracle.tail(replicaLiveTail); !slices.Equal(got, want) {
+		id := cluster.SessionState{Token: "ue"}
+		if got, want := partialState(id, seq, ring).Responses, oracle.tail(replicaLiveTail); !slices.Equal(got, want) {
 			t.Fatalf("%d pushes: replication tail holds %s, want %s", pushes, span(got), span(want))
 		}
-		p := &parkedSession{token: "ue", seq: seq, buf: ring}
+		id.Seq = seq
+		p := &parkedSession{st: id, buf: ring}
 		if got := p.state().Responses; !slices.Equal(got, oracle.resp) {
 			t.Fatalf("%d pushes: parked state holds %s, want %s", pushes, span(got), span(oracle.resp))
 		}

@@ -14,13 +14,11 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // replicaLiveTail bounds the replay-buffer tail a live session deposits
@@ -29,73 +27,38 @@ import (
 // pipelining window plus transport buffering — not the full replayBufCap.
 const replicaLiveTail = 64
 
-// replicaOutbox collects the partial session states live sessions deposit
-// once per replication tick, keyed by token (latest push wins). The
-// replication loop drains it wholesale each pass.
-type replicaOutbox struct {
-	mu sync.Mutex
-	m  map[string]cluster.SessionState
-}
-
-func newReplicaOutbox() *replicaOutbox {
-	return &replicaOutbox{m: make(map[string]cluster.SessionState)}
-}
-
-// put deposits one live session's resume state. Called from the session's
-// own goroutine, so reading the replay buffer needs no synchronization;
-// the copy taken here is what crosses into the replication loop.
-func (o *replicaOutbox) put(h *wire.Hello, seq int64, buf *replayBuffer) {
-	st := cluster.SessionState{
-		Token:                  h.SessionToken,
-		Carrier:                h.Carrier,
-		Arch:                   h.Arch,
-		DisableReportPredictor: h.DisableReportPredictor,
-		Seq:                    seq,
-		Responses:              buf.last(replicaLiveTail),
-		Partial:                true,
-	}
-	o.mu.Lock()
-	o.m[h.SessionToken] = st
-	o.mu.Unlock()
-}
-
-// drain swaps out and returns everything deposited since the last drain.
-func (o *replicaOutbox) drain() map[string]cluster.SessionState {
-	o.mu.Lock()
-	m := o.m
-	o.m = make(map[string]cluster.SessionState, len(m))
-	o.mu.Unlock()
-	return m
-}
-
-// replica is one peer session state held for failover in the replica
-// table: passive (never resumed directly, never counted in the parked
-// gauge) until a confirmed owner failure promotes it.
-type replica struct {
-	st     cluster.SessionState
-	origin string
+// partialState is a live session's replication deposit: its identity id
+// with the cursor seq and the replay tail, but no learner export. Called
+// from the session's own goroutine, so reading the replay buffer needs no
+// synchronization; the copy taken here is what crosses into the
+// replication loop.
+func partialState(id cluster.SessionState, seq int64, buf *replayBuffer) cluster.SessionState {
+	id.Seq = seq
+	id.Responses = buf.last(replicaLiveTail)
+	id.Partial = true
+	return id
 }
 
 // promoteReplica turns a held replica into parked state this node can
 // serve (parkState): the failover moment. It reports whether a replica
 // existed.
 func (s *Server) promoteReplica(token string) bool {
-	r, _, ok := s.replicas.take(token)
+	st, _, ok := s.replicas.take(token)
 	if !ok {
 		return false
 	}
 	s.stats.Add(metrics.ReplicaSessions, -1)
-	if s.parkState(r.st, true) != nil {
+	if s.parkState(st, true) != nil {
 		return false
 	}
 	s.stats.Add(metrics.Failovers, 1)
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvFailover,
 		Session: token,
-		Carrier: r.st.Carrier,
-		Arch:    r.st.Arch.String(),
-		RespSeq: r.st.Seq,
-		Detail:  "replica of " + r.origin,
+		Carrier: st.Carrier,
+		Arch:    st.Arch.String(),
+		RespSeq: st.Seq,
+		Detail:  "replica of " + st.Origin,
 	})
 	return true
 }
@@ -186,7 +149,7 @@ func (s *Server) replicateOnce() {
 	}
 	states := s.replOut.drain()
 	for _, p := range s.parked.live(time.Now()) {
-		states[p.token] = p.state()
+		states[p.st.Token] = p.state()
 	}
 	timeout := 4 * s.opts.ReplicationInterval
 	if timeout < 2*time.Second {

@@ -109,11 +109,11 @@ func TestReplicaGaugeSeparateFromParked(t *testing.T) {
 		Seq:     3,
 		Partial: true,
 	}
-	if err := srv.installState(st, "peer", true); err != nil {
+	if err := srv.installState(st, true); err != nil {
 		t.Fatal(err)
 	}
 	// Re-installing the same token refreshes, never re-counts.
-	if err := srv.installState(st, "peer", true); err != nil {
+	if err := srv.installState(st, true); err != nil {
 		t.Fatal(err)
 	}
 	snap := srv.Stats()
@@ -133,7 +133,7 @@ func TestReplicaGaugeSeparateFromParked(t *testing.T) {
 
 	// Holding both at once (anti-entropy pushes the token back while its
 	// promoted state is still parked) counts one each, not two anywhere.
-	if err := srv.installState(st, "peer", true); err != nil {
+	if err := srv.installState(st, true); err != nil {
 		t.Fatal(err)
 	}
 	snap = srv.Stats()
@@ -255,24 +255,24 @@ func TestInstallReplicaRejections(t *testing.T) {
 
 	if err := srv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion + 1, Carrier: "OpX",
-	}, "peer", true); err == nil {
+	}, true); err == nil {
 		t.Error("future-version state installed")
 	}
 	if err := srv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion,
-	}, "peer", true); err == nil {
+	}, true); err == nil {
 		t.Error("carrier-less state installed")
 	}
 	if err := srv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion, Carrier: "OpX", Token: "tok",
-	}, "peer", true); err == nil {
+	}, true); err == nil {
 		t.Error("tokened state installed with resume disabled")
 	}
 	// Token-less context snapshot: accepted into the warm store, no
 	// replica entry.
 	if err := srv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion, Carrier: "OpX", Arch: cellular.ArchLTE,
-	}, "peer", true); err != nil {
+	}, true); err != nil {
 		t.Errorf("context snapshot rejected: %v", err)
 	}
 	if n := srv.replicas.size(); n != 0 {
@@ -314,8 +314,8 @@ func TestFailoverTarget(t *testing.T) {
 	// Confirmed down, replica held: the holder serves.
 	if err := succSrv.installState(cluster.SessionState{
 		Version: cluster.SessionStateVersion, Carrier: "OpX", Arch: cellular.ArchLTE,
-		Token: tok, Seq: 1, Partial: true,
-	}, owner, true); err != nil {
+		Token: tok, Seq: 1, Partial: true, Origin: owner,
+	}, true); err != nil {
 		t.Fatal(err)
 	}
 	if serve, _ := succSrv.failoverTarget(owner, tok); !serve {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cellular"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -25,7 +26,7 @@ const warmPushEvery = 512
 // warmKey indexes the warm store by deployment context.
 type warmKey struct {
 	carrier string
-	arch    string
+	arch    cellular.Arch
 }
 
 // replayBuffer holds the most recent responses of a resumable session, in
@@ -107,19 +108,15 @@ func (b *replayBuffer) after(last, seq int64) ([]wire.Response, bool) {
 // replication round may still be shipping an entry the table handed out
 // when a resume takes it.
 type parkedSession struct {
-	token   string
-	prog    *core.Prognos
-	seq     int64
-	buf     *replayBuffer
-	carrier string
-	arch    cellular.Arch
-	// snap is the learner export park took; state ships it, so a parked
-	// learner is exported once per park, however often it is shipped.
-	snap core.Snapshot
-	// disableReportPredictor is the session's hello setting, carried so
-	// the learner rebuilt wherever the session moves runs the same
-	// pipeline (newPrognos).
-	disableReportPredictor bool
+	// st is the session as it ships: its identity (the hello settings
+	// newPrognos rebuilds the learner from wherever it moves), its resume
+	// cursor Seq, and the learner export park took, so a parked learner
+	// is exported once per park, however often it is shipped. Version,
+	// Origin, Partial and Responses stay zero: state fills the responses
+	// from buf, and cluster.Ship the version and origin.
+	st   cluster.SessionState
+	prog *core.Prognos
+	buf  *replayBuffer
 	// migrated marks state installed by a cluster migration rather than
 	// parked by a local session; its first resume counts as a migrated
 	// (warm-handoff) resume.
@@ -134,22 +131,30 @@ type parkedSession struct {
 	replica bool
 }
 
+// state captures a parked session as a shippable full state: st plus the
+// replay buffer.
+func (p *parkedSession) state() cluster.SessionState {
+	st := p.st
+	st.Responses = p.buf.last(replayBufCap)
+	return st
+}
+
 // park stores a session's warm state for ResumeGrace, evicting the entry
 // closest to expiry when the table is full. The learner is exported once,
 // here: the export is merged into the warm store, so a never-resumed park
 // still contributes to checkpoints and future cold starts, and kept for
 // shipping.
 func (s *Server) park(p *parkedSession) {
-	p.snap = p.prog.Snapshot()
-	s.pushWarm(p.carrier, p.arch, p.snap)
+	p.st.Snapshot = p.prog.Snapshot()
+	s.pushWarm(p.st.Carrier, p.st.Arch, p.st.Snapshot)
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvSessionPark,
-		Session: p.token,
-		Carrier: p.carrier,
-		Arch:    p.arch.String(),
-		RespSeq: p.seq,
+		Session: p.st.Token,
+		Carrier: p.st.Carrier,
+		Arch:    p.st.Arch.String(),
+		RespSeq: p.st.Seq,
 	})
-	replaced, evicted := s.parked.put(p.token, p, time.Now().Add(s.opts.ResumeGrace))
+	replaced, evicted := s.parked.put(p.st.Token, p, time.Now().Add(s.opts.ResumeGrace))
 	if replaced {
 		// A duplicate token replaced the previous park (same gauge slot).
 		return
@@ -190,26 +195,31 @@ func (s *Server) sweepParked(now time.Time) {
 // pushWarm records the latest learned state for a deployment context. The
 // warm store seeds new sessions' learners and is what checkpoints persist.
 func (s *Server) pushWarm(carrier string, arch cellular.Arch, snap core.Snapshot) {
-	s.warm.push(warmKey{carrier: carrier, arch: arch.String()}, snap)
+	s.warm.push(warmKey{carrier: carrier, arch: arch}, snap)
 }
 
 // warmSnapshot returns the latest stored learned state for a deployment
 // context.
 func (s *Server) warmSnapshot(carrier string, arch cellular.Arch) (core.Snapshot, bool) {
-	return s.warm.freshest(warmKey{carrier: carrier, arch: arch.String()})
+	return s.warm.freshest(warmKey{carrier: carrier, arch: arch})
 }
 
 // restoreCheckpoints loads every readable checkpoint in CheckpointDir into
 // the warm store at startup; sessions opened after restart bootstrap their
 // learners from the pre-crash pattern databases. Unreadable or
-// incompatible-version files are skipped — a restart must always come up.
+// incompatible-version files, and files of an arch no session can name,
+// are skipped — a restart must always come up.
 func (s *Server) restoreCheckpoints() {
 	files, err := core.LoadCheckpointDir(s.opts.CheckpointDir)
 	if err != nil {
 		return
 	}
 	for _, f := range files {
-		s.warm.push(warmKey{carrier: f.Carrier, arch: f.Arch}, f.Snapshot)
+		arch, err := cellular.ParseArch(f.Arch)
+		if err != nil {
+			continue
+		}
+		s.warm.push(warmKey{carrier: f.Carrier, arch: arch}, f.Snapshot)
 		s.stats.Add(metrics.CheckpointRestores, 1)
 	}
 }
@@ -228,7 +238,7 @@ func (s *Server) CheckpointNow() (int, error) {
 	for k, snap := range entries {
 		n, err := core.WriteCheckpoint(s.opts.CheckpointDir, core.CheckpointFile{
 			Carrier:  k.carrier,
-			Arch:     k.arch,
+			Arch:     k.arch.String(),
 			Snapshot: snap,
 		})
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cellular"
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -251,18 +252,12 @@ func tick() {
 // fresh learner, the shape a session leaves behind when it parks.
 func parkedFor(t *testing.T, token string) *parkedSession {
 	t.Helper()
-	prog, err := newPrognos("OpX", cellular.ArchNSA, false)
+	st := cluster.SessionState{Token: token, Carrier: "OpX", Arch: cellular.ArchNSA, Seq: 1}
+	prog, err := newPrognos(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &parkedSession{
-		token:   token,
-		prog:    prog,
-		seq:     1,
-		buf:     newReplayBuffer(replayBufCap),
-		carrier: "OpX",
-		arch:    cellular.ArchNSA,
-	}
+	return &parkedSession{st: st, prog: prog, buf: newReplayBuffer(replayBufCap)}
 }
 
 // TestParkedBoundEvictsSoonest parks one session past the table's bound:
@@ -499,6 +494,33 @@ func testCheckpointKillRestart(t *testing.T, dial ClientOptions) {
 	}
 	if resp.Type != cellular.HOLTEH {
 		t.Errorf("restarted server predicted %s, want a warm LTEH", resp.TypeName)
+	}
+}
+
+// TestRestoreSkipsUnknownArch pins that a checkpoint whose arch no session
+// can name is skipped at restore, like an unreadable file: of one OpX/NSA
+// file and one "6G" file, only the first is restored and held.
+func TestRestoreSkipsUnknownArch(t *testing.T) {
+	dir := t.TempDir()
+	for _, arch := range []string{"NSA", "6G"} {
+		f := core.CheckpointFile{Carrier: "OpX", Arch: arch, Snapshot: markedSnap(1)}
+		if _, err := core.WriteCheckpoint(dir, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := ListenWith("127.0.0.1:0", Options{CheckpointDir: dir, CheckpointInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if n := srv.Stats().CheckpointRestores; n != 1 {
+		t.Errorf("restored %d checkpoints, want 1", n)
+	}
+	if n := len(srv.warm.all()); n != 1 {
+		t.Errorf("warm store holds %d contexts, want 1", n)
+	}
+	if _, ok := srv.warmSnapshot("OpX", cellular.ArchNSA); !ok {
+		t.Error("the NSA checkpoint was not restored")
 	}
 }
 

@@ -147,11 +147,12 @@ type Server struct {
 	warm   *warmStore
 
 	// Crash-fault tolerance (replicate.go). replicas holds peer session
-	// states for failover; replOut is the outbox live sessions deposit
-	// their resume state into, once per repGen bump (the replication
-	// ticker's generation counter); detector confirms peer failures.
-	replicas *tokenTable[replica]
-	replOut  *replicaOutbox
+	// states for failover. replOut is the outbox live sessions deposit
+	// their partial state into once per repGen bump (the replication
+	// ticker's generation counter); its entries never expire, since only
+	// drain reads it. detector confirms peer failures.
+	replicas *tokenTable[cluster.SessionState]
+	replOut  *tokenTable[cluster.SessionState]
 	repGen   atomic.Int64
 	detector *cluster.Detector
 
@@ -195,8 +196,8 @@ func newServer(ln net.Listener, opts Options) *Server {
 		conns:    make(map[net.Conn]struct{}),
 		parked:   newTokenTable[*parkedSession](maxParked),
 		warm:     newWarmStore(),
-		replicas: newTokenTable[replica](0),
-		replOut:  newReplicaOutbox(),
+		replicas: newTokenTable[cluster.SessionState](0),
+		replOut:  newTokenTable[cluster.SessionState](0),
 		done:     make(chan struct{}),
 	}
 	if s.opts.CheckpointDir != "" {
@@ -692,6 +693,14 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 	// hold no MaxSessions slot, so the slot acquired above is this conn's
 	// own — resume can never leak or double-count slots.
 	resumable := hello.SessionToken != "" && s.opts.ResumeGrace > 0
+	// id is the session as it ships: the learner's configuration, and the
+	// identity of its park and of its replication deposits.
+	id := cluster.SessionState{
+		Token:                  hello.SessionToken,
+		Carrier:                hello.Carrier,
+		Arch:                   hello.Arch,
+		DisableReportPredictor: hello.DisableReportPredictor,
+	}
 	var (
 		prog   *core.Prognos
 		seq    int64
@@ -711,7 +720,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			p = s.unpark(hello.SessionToken)
 		}
 		if p != nil {
-			pseq, pbuf := p.seq, p.buf
+			pseq, pbuf := p.st.Seq, p.buf
 			rs, ok := pbuf.after(hello.LastSeq, pseq)
 			if !ok && p.replica && hello.LastSeq > pseq {
 				// Promoted replica trailing the client's cursor: the origin
@@ -750,7 +759,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 	}
 	if !resumed {
 		var err error
-		prog, err = newPrognos(hello.Carrier, hello.Arch, hello.DisableReportPredictor)
+		prog, err = newPrognos(id)
 		if err != nil {
 			return cdc, err
 		}
@@ -772,15 +781,8 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			// client's warm probe.
 			return errInterrupted
 		}
-		s.park(&parkedSession{
-			token:                  hello.SessionToken,
-			prog:                   prog,
-			seq:                    seq,
-			buf:                    buf,
-			carrier:                hello.Carrier,
-			arch:                   hello.Arch,
-			disableReportPredictor: hello.DisableReportPredictor,
-		})
+		id.Seq = seq
+		s.park(&parkedSession{st: id, prog: prog, buf: buf})
 		return errInterrupted
 	}
 	// fault is the one exit for a transport fault: a resumable session
@@ -898,7 +900,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			if replicating {
 				if gen := s.repGen.Load(); gen != lastRepGen {
 					lastRepGen = gen
-					s.replOut.put(&hello, seq, buf)
+					s.replOut.put(id.Token, partialState(id, seq, buf), time.Time{})
 				}
 			}
 		}

@@ -53,8 +53,9 @@ func (ws *warmStore) all() map[warmKey]core.Snapshot {
 }
 
 // tokenTable maps a session token to a value that expires. It is the
-// parked-session table (bounded) and the replica table (unbounded). Expiry
-// is enforced only where a caller passes the clock: has, sweep and live.
+// parked-session table (bounded), the replica table and the replication
+// outbox (unbounded). Expiry is enforced only where a caller passes the
+// clock: has, sweep and live.
 type tokenTable[V any] struct {
 	mu sync.Mutex
 	m  map[string]tokenEntry[V]
@@ -131,13 +132,13 @@ func (t *tokenTable[V]) sweep(now time.Time) int {
 	return n
 }
 
-// drain removes and returns every value, expired or not.
-func (t *tokenTable[V]) drain() []V {
+// drain removes and returns every value by token, expired or not.
+func (t *tokenTable[V]) drain() map[string]V {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]V, 0, len(t.m))
-	for _, e := range t.m {
-		out = append(out, e.v)
+	out := make(map[string]V, len(t.m))
+	for token, e := range t.m {
+		out[token] = e.v
 	}
 	clear(t.m)
 	return out

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cellular"
 	"repro/internal/core"
 )
 
@@ -20,8 +21,8 @@ func markedSnap(mark int) core.Snapshot {
 // exercises the store's lock discipline.
 func TestWarmStoreFreshestLatestWins(t *testing.T) {
 	ws := newWarmStore()
-	key := warmKey{carrier: "OpX", arch: "NSA"}
-	other := warmKey{carrier: "OpY", arch: "SA"}
+	key := warmKey{carrier: "OpX", arch: cellular.ArchNSA}
+	other := warmKey{carrier: "OpY", arch: cellular.ArchSA}
 
 	const (
 		pushers        = 8

@@ -18,7 +18,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cellular"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -27,14 +26,15 @@ import (
 	"repro/internal/wire"
 )
 
-// newPrognos builds a session learner. Every server-side Prognos comes from
-// here — fresh sessions, drain installs and replica promotions alike — so
-// a session keeps its configuration whichever node serves it.
-func newPrognos(carrier string, arch cellular.Arch, disableReportPredictor bool) (*core.Prognos, error) {
+// newPrognos builds the learner for the session st names. Every server-side
+// Prognos comes from here — fresh sessions, drain installs and replica
+// promotions alike — so a session keeps its configuration whichever node
+// serves it.
+func newPrognos(st cluster.SessionState) (*core.Prognos, error) {
 	return core.New(core.Config{
-		EventConfigs:       ran.EventConfigsFor(carrier, arch),
-		Arch:               arch,
-		UseReportPredictor: !disableReportPredictor,
+		EventConfigs:       ran.EventConfigsFor(st.Carrier, st.Arch),
+		Arch:               st.Arch,
+		UseReportPredictor: !st.DisableReportPredictor,
 	})
 }
 
@@ -83,7 +83,9 @@ func (s *Server) serveTransfer(hello *wire.Hello, br *bufio.Reader, w *bufio.Wri
 			s.stats.Add(metrics.MigrationBytesIn, int64(len(p)))
 		}
 		var st cluster.SessionState
-		ok := json.Unmarshal(p, &st) == nil && s.installState(st, hello.Node, hold) == nil
+		ok := json.Unmarshal(p, &st) == nil
+		st.Origin = hello.Node
+		ok = ok && s.installState(st, hold) == nil
 		if err := fw.WriteMigrateAck(wire.MigrateAck{OK: ok, Seq: seq}); err != nil {
 			return cdc, errInterrupted
 		}
@@ -97,12 +99,13 @@ func (s *Server) serveTransfer(hello *wire.Hello, br *bufio.Reader, w *bufio.Wri
 	}
 }
 
-// installState folds one shipped state into this node. Context states (no
-// token) merge into the warm store under either disposition. Session
-// states are parked for serving now, or — with hold — kept in the replica
-// table with a fresh expiry, never in the parked table, so
-// prognos_parked_sessions is never double-counted.
-func (s *Server) installState(st cluster.SessionState, origin string, hold bool) error {
+// installState folds one shipped state, its Origin naming the shipping
+// node, into this node. Context states (no token) merge into the warm
+// store under either disposition. Session states are parked for serving
+// now, or — with hold — kept in the replica table with a fresh expiry,
+// never in the parked table, so prognos_parked_sessions is never
+// double-counted.
+func (s *Server) installState(st cluster.SessionState, hold bool) error {
 	if st.Version > cluster.SessionStateVersion {
 		return fmt.Errorf("server: shipped state version %d is newer than %d", st.Version, cluster.SessionStateVersion)
 	}
@@ -122,8 +125,7 @@ func (s *Server) installState(st cluster.SessionState, origin string, hold bool)
 	}
 	if hold {
 		// Latest push wins; only a token new to the table moves the gauge.
-		r := replica{st: st, origin: origin}
-		if replaced, _ := s.replicas.put(st.Token, r, time.Now().Add(s.opts.ResumeGrace)); !replaced {
+		if replaced, _ := s.replicas.put(st.Token, st, time.Now().Add(s.opts.ResumeGrace)); !replaced {
 			s.stats.Add(metrics.ReplicaSessions, 1)
 		}
 		return nil
@@ -138,7 +140,7 @@ func (s *Server) installState(st cluster.SessionState, origin string, hold bool)
 		Carrier: st.Carrier,
 		Arch:    st.Arch.String(),
 		RespSeq: st.Seq,
-		Detail:  "from " + origin,
+		Detail:  "from " + st.Origin,
 	})
 	return nil
 }
@@ -148,10 +150,11 @@ func (s *Server) installState(st cluster.SessionState, origin string, hold bool)
 // install and replica promotion. Full states restore their learner
 // exactly; partial states (live-session replication pushes) carry no
 // learner snapshot, so the learner warm-starts from the separately
-// shipped context snapshot instead. replica marks promoted state, whose
-// cursor may trail the client's (see parkedSession).
+// shipped context snapshot instead, and the parked state ships as a full
+// one. replica marks promoted state, whose cursor may trail the client's
+// (see parkedSession).
 func (s *Server) parkState(st cluster.SessionState, replica bool) error {
-	prog, err := newPrognos(st.Carrier, st.Arch, st.DisableReportPredictor)
+	prog, err := newPrognos(st)
 	if err != nil {
 		return err
 	}
@@ -166,17 +169,8 @@ func (s *Server) parkState(st cluster.SessionState, replica bool) error {
 	for _, r := range st.Responses {
 		buf.push(r)
 	}
-	s.park(&parkedSession{
-		token:                  st.Token,
-		prog:                   prog,
-		seq:                    st.Seq,
-		buf:                    buf,
-		carrier:                st.Carrier,
-		arch:                   st.Arch,
-		disableReportPredictor: st.DisableReportPredictor,
-		migrated:               true,
-		replica:                replica,
-	})
+	st.Version, st.Origin, st.Partial, st.Responses = 0, "", false, nil
+	s.park(&parkedSession{st: st, prog: prog, buf: buf, migrated: true, replica: replica})
 	return nil
 }
 
@@ -197,15 +191,7 @@ func (s *Server) shipRound(rest *cluster.Ring, sessions map[string]cluster.Sessi
 	}
 	var contexts []cluster.SessionState
 	for k, snap := range s.warm.all() {
-		arch, err := cellular.ParseArch(k.arch)
-		if err != nil {
-			continue
-		}
-		contexts = append(contexts, cluster.SessionState{
-			Carrier:  k.carrier,
-			Arch:     arch,
-			Snapshot: snap,
-		})
+		contexts = append(contexts, cluster.SessionState{Carrier: k.carrier, Arch: k.arch, Snapshot: snap})
 	}
 	ship := cluster.Ship
 	if hold {
@@ -238,33 +224,16 @@ func (s *Server) shipRound(rest *cluster.Ring, sessions map[string]cluster.Sessi
 	return total, targets, firstErr
 }
 
-// state captures a parked session as a shippable full state, carrying the
-// learner export taken at park.
-func (p *parkedSession) state() cluster.SessionState {
-	return cluster.SessionState{
-		Token:                  p.token,
-		Carrier:                p.carrier,
-		Arch:                   p.arch,
-		DisableReportPredictor: p.disableReportPredictor,
-		Seq:                    p.seq,
-		Responses:              p.buf.last(replayBufCap),
-		Snapshot:               p.snap,
-	}
-}
-
 // DrainStats accounts one DrainToCluster pass.
 type DrainStats struct {
-	// Forced counts in-flight sessions force-closed into the parked table;
-	// Sessions and Contexts the states the peers accepted, Rejected the
-	// states they nacked.
-	Forced   int
-	Sessions int
-	Contexts int
-	Rejected int
-	// Targets is the number of peer nodes shipped to, Bytes the total
-	// migration payload shipped, Elapsed the whole pass's wall time.
+	// Forced counts in-flight sessions force-closed into the parked table.
+	Forced int
+	// ShipStats sums the round over its targets: the states the peers
+	// accepted and nacked, and the migration payload shipped.
+	cluster.ShipStats
+	// Targets is the number of peer nodes shipped to, Elapsed the whole
+	// pass's wall time.
 	Targets int
-	Bytes   int64
 	Elapsed time.Duration
 	// LocalFallback reports that no peer could be reached at all, so the
 	// drain fell back to local persistence: everything that would have
@@ -318,13 +287,12 @@ func (s *Server) DrainToCluster(timeout time.Duration) (DrainStats, error) {
 	// Ship every parked session, expired or not: the target re-arms
 	// expiry on install.
 	sessions := make(map[string]cluster.SessionState)
-	for _, p := range s.parked.drain() {
+	for token, p := range s.parked.drain() {
 		s.stats.Add(metrics.Parked, -1)
-		sessions[p.token] = p.state()
+		sessions[token] = p.state()
 	}
-	total, targets, firstErr := s.shipRound(rest, sessions, false, timeout)
-	ds.Sessions, ds.Contexts, ds.Rejected = total.Sessions, total.Contexts, total.Rejected
-	ds.Targets, ds.Bytes = targets, total.Bytes
+	var firstErr error
+	ds.ShipStats, ds.Targets, firstErr = s.shipRound(rest, sessions, false, timeout)
 	s.stats.Add(metrics.MigratedOut, int64(ds.Sessions))
 	ds.Elapsed = time.Since(start)
 	s.stats.Add(metrics.MigrationPasses, 1)

@@ -114,18 +114,19 @@ func (ts *transferStream) sendFrame(t *testing.T, typ byte, st cluster.SessionSt
 // shippedSession is a full session state around a real learner snapshot.
 func shippedSession(t *testing.T, token string) cluster.SessionState {
 	t.Helper()
-	prog, err := newPrognos("OpX", cellular.ArchLTE, false)
+	st := cluster.SessionState{
+		Version: cluster.SessionStateVersion,
+		Token:   token,
+		Carrier: "OpX",
+		Arch:    cellular.ArchLTE,
+		Seq:     1,
+	}
+	prog, err := newPrognos(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster.SessionState{
-		Version:  cluster.SessionStateVersion,
-		Token:    token,
-		Carrier:  "OpX",
-		Arch:     cellular.ArchLTE,
-		Seq:      1,
-		Snapshot: prog.Snapshot(),
-	}
+	st.Snapshot = prog.Snapshot()
+	return st
 }
 
 // TestTransferStreamCutIsChurn pins the one fault rule of the shared
@@ -367,12 +368,14 @@ func TestMovedSessionKeepsReportPredictor(t *testing.T) {
 				core.Replay(prog, head)
 				snap := prog.Snapshot()
 				rig.byAddr(t, owner).park(&parkedSession{
-					token:                  token,
-					prog:                   prog,
-					seq:                    int64(len(head.Samples)),
-					carrier:                carrier,
-					arch:                   arch,
-					disableReportPredictor: disable,
+					st: cluster.SessionState{
+						Token:                  token,
+						Carrier:                carrier,
+						Arch:                   arch,
+						DisableReportPredictor: disable,
+						Seq:                    int64(len(head.Samples)),
+					},
+					prog: prog,
 				})
 				m.move(t, rig.byAddr(t, owner), successor, token)
 				moved := successor.unpark(token)

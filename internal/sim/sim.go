@@ -106,18 +106,11 @@ func maxRangeM(band cellular.Band) float64 {
 	}
 }
 
-// Run simulates one drive and returns its trace.
+// Run simulates one drive and returns its trace: RunClosedLoop without the
+// closed-loop by-product.
 func Run(cfg Config) (*trace.Log, error) {
-	cfg = cfg.withDefaults()
-	if !cfg.Carrier.Has(cfg.Arch) {
-		return nil, fmt.Errorf("sim: carrier %s does not offer %s", cfg.Carrier.Name, cfg.Arch)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	route := geo.Generate(cfg.RouteKind, rng, cfg.RouteLengthM)
-	dep := topology.Generate(cfg.Carrier, route, rng, cfg.TopoOpts)
-	s := newState(cfg, route, dep, rng)
-	s.run()
-	return s.log, nil
+	log, _, err := RunClosedLoop(cfg)
+	return log, err
 }
 
 // RunOn simulates a drive over a pre-built deployment (several drives can
@@ -142,10 +135,9 @@ type ClosedLoop struct {
 	Stats ran.AdaptiveStats
 }
 
-// RunClosedLoop simulates one drive like Run and additionally returns the
-// closed-loop by-product. The trace bytes are identical to what Run would
-// produce for the same Config — the extra return only exposes what the
-// embedded predictor and controller did along the way.
+// RunClosedLoop simulates one drive and returns its trace and the
+// closed-loop by-product. The by-product only exposes what the embedded
+// predictor and controller did along the way; Run returns the same trace.
 func RunClosedLoop(cfg Config) (*trace.Log, *ClosedLoop, error) {
 	cfg = cfg.withDefaults()
 	if !cfg.Carrier.Has(cfg.Arch) {
